@@ -1,13 +1,15 @@
 // Performance regression bench (PR3 stages + PR5 tile parallelism):
 // wall-clock GB/s of each vectorized pipeline stage at every SIMD dispatch
-// level, end-to-end compression throughput for the {unfused, fused-serial,
-// fused-parallel} x {scalar, best-SIMD} configs on the tier-1 benchmark
-// suite, a fused-parallel thread-scaling sweep (1/2/4/max workers,
-// compress AND decompress), and decompression throughput.  Emits a
-// machine-readable JSON report (default BENCH_pr5.json) consumed by
-// scripts/bench_smoke.sh; the human table goes to stdout.  Byte-identity
-// of every config's stream against the scalar-unfused reference is
-// asserted while measuring.
+// level, end-to-end compression throughput for the {unfused, fused-parallel}
+// x {scalar, best-SIMD} configs on the tier-1 benchmark suite, a
+// fused-parallel thread-scaling sweep (1/2/4/max workers, compress AND
+// decompress), and decompression throughput.  Emits a machine-readable JSON
+// report (default BENCH_pr5.json) consumed by scripts/bench_smoke.sh; the
+// human table goes to stdout.  Byte-identity of every config's stream
+// against the scalar-unfused reference is asserted while measuring.  The
+// unfused rows drive the reference graph (make_compress_stages /
+// make_decompress_stages) over a PipelineContext directly; fz::Codec runs
+// V2 through the fused graphs.
 //
 // PR8 adds a gap-array Huffman decode sweep: per-dataset quantization codes
 // are Huffman-encoded once, then decoded at 1/2/4/max workers (table-driven)
@@ -43,10 +45,12 @@
 #include "core/lorenzo.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
+#include "core/stages.hpp"
 #include "datasets/generators.hpp"
 #include "harness/tables.hpp"
 #include "substrate/histogram.hpp"
 #include "substrate/huffman.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -69,7 +73,6 @@ double gbps(size_t bytes, double secs) {
 
 std::vector<SimdLevel> levels_under_test() {
   std::vector<SimdLevel> levels{SimdLevel::Scalar};
-  if (simd_supported() >= SimdLevel::SSE2) levels.push_back(SimdLevel::SSE2);
   if (simd_supported() >= SimdLevel::AVX2) levels.push_back(SimdLevel::AVX2);
   return levels;
 }
@@ -89,6 +92,30 @@ struct JsonWriter {
     return tmp;
   }
   std::string finish() { return buf + "\n}\n"; }
+};
+
+/// The unfused reference graphs over one pooled context.  Spans go to the
+/// active sink, as a Codec's would.
+struct ReferenceGraphs {
+  BufferPool pool;
+  PipelineContext ctx;
+  const StageGraph compress_graph = make_compress_stages();
+  const StageGraph decompress_graph = make_decompress_stages();
+
+  std::vector<u8> compress(const Field& f, const FzParams& params) {
+    std::vector<u8> out;
+    ctx.begin_compress(&pool, params, f.dims, f.count(), sizeof(f32),
+                       f.values().data(), &out);
+    ctx.sink = telemetry::active_sink();
+    run_stages(compress_graph, ctx);
+    return out;
+  }
+  void decompress(ByteSpan stream, std::span<f32> out) {
+    ctx.begin_decompress(&pool, FzParams{}, stream, out.size(), sizeof(f32),
+                         out.data());
+    ctx.sink = telemetry::active_sink();
+    run_stages(decompress_graph, ctx);
+  }
 };
 
 struct StageRow {
@@ -143,8 +170,6 @@ int main(int argc, char** argv) {
   std::vector<u32> shuffled(words), unshuffled(words);
   std::vector<u8> byte_flags(words / kBlockWords),
       bit_flags(words / kBlockWords / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(stage_field.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(stage_field.dims));
 
   std::vector<StageRow> stage_rows;
   bench::Table stage_table({"stage", "level", "GB/s"});
@@ -179,11 +204,6 @@ int main(int argc, char** argv) {
         [&] { mark_blocks_simd(shuffled, byte_flags, bit_flags, level); });
     add("bitunshuffle", words * 4,
         [&] { bitunshuffle_tiles_simd(shuffled, unshuffled, level); });
-    add("fused-tile-pipeline", n * 4, [&] {
-      fused_quant_shuffle_mark(stage_field.values(), stage_field.dims, abs_eb,
-                               /*f32_fast=*/false, shuffled, byte_flags,
-                               bit_flags, row_scratch, plane_scratch, level);
-    });
     const FusedParallelPlan plan =
         fused_parallel_plan(stage_field.dims, /*workers=*/0);
     std::vector<i64> strip_scratch(plan.scratch_elems);
@@ -198,27 +218,22 @@ int main(int argc, char** argv) {
             << JsonWriter::num(abs_eb) << "):\n";
   stage_table.print(std::cout);
 
-  // ---- end-to-end compression: {unfused, fused-serial, fused-parallel}
-  //      x {scalar, best} ---------------------------------------------------
+  // ---- end-to-end compression: {unfused, fused-parallel} x {scalar, best}
   struct Config {
     const char* name;
     bool fused;
-    bool serial_tiles;  // fused graph only: pre-PR5 streaming reference
     SimdDispatch simd;
   };
   const Config configs[] = {
-      {"unfused-scalar", false, false, SimdDispatch::Scalar},
-      {"unfused-simd", false, false, SimdDispatch::Auto},
-      {"fused-serial-scalar", true, true, SimdDispatch::Scalar},
-      {"fused-serial-simd", true, true, SimdDispatch::Auto},
-      {"fused-parallel-scalar", true, false, SimdDispatch::Scalar},
-      {"fused-parallel-simd", true, false, SimdDispatch::Auto},
+      {"unfused-scalar", false, SimdDispatch::Scalar},
+      {"unfused-simd", false, SimdDispatch::Auto},
+      {"fused-parallel-scalar", true, SimdDispatch::Scalar},
+      {"fused-parallel-simd", true, SimdDispatch::Auto},
   };
-  constexpr size_t kRef = 0, kSerialSimd = 3, kParallelSimd = 5;
+  constexpr size_t kRef = 0, kParallelSimd = 3;
 
   std::vector<CompressRow> compress_rows;
   std::vector<std::pair<std::string, double>> speedups;
-  std::vector<std::pair<std::string, double>> parallel_vs_serial;
   std::vector<CompressRow> decompress_rows;
   struct ScalingRow {
     std::string dataset;
@@ -228,8 +243,7 @@ int main(int argc, char** argv) {
   std::vector<ScalingRow> scaling_rows;
 
   bench::Table comp_table({"dataset", "unfused-scalar", "unfused-simd",
-                           "fused-serial-simd", "fused-parallel-simd",
-                           "speedup", "par/serial"});
+                           "fused-parallel-simd", "speedup"});
   bool identical = true;
   for (const Field& f : benchmark_suite(scale, 42)) {
     FzParams params;
@@ -237,29 +251,26 @@ int main(int argc, char** argv) {
     std::vector<u8> reference;
     std::vector<double> results;
     for (const Config& c : configs) {
-      params.fused_host_graph = c.fused;
-      params.fused_serial_tiles = c.serial_tiles;
       params.fused_workers = 0;  // one strip per hardware thread
       params.simd = c.simd;
-      FzCompressed comp;
-      const double t = min_seconds(
-          iters, [&] { comp = fz_compress(f.values(), f.dims, params); });
-      if (reference.empty()) reference = comp.bytes;
-      else if (comp.bytes != reference) identical = false;
+      // A fresh pool per call on both paths, like fz_compress's throwaway
+      // Codec.
+      std::vector<u8> bytes;
+      const double t = min_seconds(iters, [&] {
+        bytes = c.fused ? fz_compress(f.values(), f.dims, params).bytes
+                        : ReferenceGraphs{}.compress(f, params);
+      });
+      if (reference.empty()) reference = bytes;
+      else if (bytes != reference) identical = false;
       results.push_back(gbps(f.bytes(), t));
       compress_rows.push_back({f.dataset, c.name, results.back()});
     }
     const double speedup = results[kParallelSimd] / results[kRef];
     speedups.emplace_back(f.dataset, speedup);
-    parallel_vs_serial.emplace_back(
-        f.dataset, results[kParallelSimd] / results[kSerialSimd]);
     comp_table.add_row({f.dataset, JsonWriter::num(results[0]),
                         JsonWriter::num(results[1]),
-                        JsonWriter::num(results[kSerialSimd]),
                         JsonWriter::num(results[kParallelSimd]),
-                        JsonWriter::num(speedup) + "x",
-                        JsonWriter::num(parallel_vs_serial.back().second) +
-                            "x"});
+                        JsonWriter::num(speedup) + "x"});
 
     // Thread-scaling sweep (compress + decompress) at 1/2/4/max workers.
     // The stream is identical at every worker count (asserted above and in
@@ -284,8 +295,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\nCompression throughput (GB/s), rel eb 1e-3; speedup = "
-               "fused-parallel-simd over unfused-scalar, par/serial = "
-               "fused-parallel-simd over fused-serial-simd:\n";
+               "fused-parallel-simd over unfused-scalar:\n";
   comp_table.print(std::cout);
   std::cout << "\nstreams byte-identical across configs: "
             << (identical ? "yes" : "NO — BUG") << "\n";
@@ -379,17 +389,13 @@ int main(int argc, char** argv) {
     Codec compressor(cp);
     const FzCompressed comp = compressor.compress(f.values(), f.dims);
 
-    FzParams on = cp;
-    on.fused_decompress = true;
-    on.fused_workers = 0;
-    FzParams off = on;
-    off.fused_decompress = false;
-    Codec codec_on(on), codec_off(off);
+    Codec codec_on(cp);
+    ReferenceGraphs classic;
     std::vector<f32> a(f.count()), b(f.count());
     const double t_on = min_seconds(
         iters, [&] { codec_on.decompress_into(comp.bytes, a); });
-    const double t_off = min_seconds(
-        iters, [&] { codec_off.decompress_into(comp.bytes, b); });
+    const double t_off =
+        min_seconds(iters, [&] { classic.decompress(comp.bytes, b); });
     if (std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) != 0)
       decomp_identical = false;
     fused_decomp_rows.push_back(
@@ -510,14 +516,6 @@ int main(int argc, char** argv) {
     w.buf += "    \"" + speedups[i].first +
              "\": " + JsonWriter::num(speedups[i].second) +
              (i + 1 < speedups.size() ? "," : "") + "\n";
-  }
-  w.buf += "  }";
-  w.section("parallel_vs_serial");
-  w.buf += "{\n";
-  for (size_t i = 0; i < parallel_vs_serial.size(); ++i) {
-    w.buf += "    \"" + parallel_vs_serial[i].first +
-             "\": " + JsonWriter::num(parallel_vs_serial[i].second) +
-             (i + 1 < parallel_vs_serial.size() ? "," : "") + "\n";
   }
   w.buf += "  }";
 

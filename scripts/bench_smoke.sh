@@ -4,13 +4,10 @@
 # checked-in baseline's scale and fails if
 #
 #   * any compressed stream stops being byte-identical across the
-#     {unfused, fused-serial, fused-parallel} x {scalar, simd} configs
-#     (correctness, zero tolerance),
+#     {unfused, fused-parallel} x {scalar, simd} configs (correctness, zero
+#     tolerance; the unfused rows run the reference stage graph directly),
 #   * the best fused-parallel-simd speedup over unfused-scalar drops below
-#     1.5x (the PR3 acceptance floor, machine-independent),
-#   * fused-parallel at max workers falls below fused-serial on any tier-1
-#     dataset (ratio < 0.95, small noise allowance — the strip body must
-#     never be a regression), or
+#     1.5x (the PR3 acceptance floor, machine-independent), or
 #   * any per-stage GB/s regresses more than FZ_BENCH_TOLERANCE (default
 #     0.50 = 50%) below the checked-in BENCH_pr5.json baseline.  (0.20,
 #     0.25 and 0.40 all proved flaky on the shared single-core reference
@@ -18,7 +15,8 @@
 #     after a heavy build — exactly when check.sh reaches this gate.  The
 #     baseline is per-stage minima over eleven runs, and the within-run
 #     ratio gates above carry the real regression signal, so the
-#     per-stage floor only needs to catch catastrophic slowdowns.)
+#     per-stage floor only needs to catch catastrophic slowdowns.  Rows
+#     the baseline has but the fresh run no longer emits are skipped.)
 #
 # Wall clocks on shared machines are noisy; raise the tolerance via
 #   FZ_BENCH_TOLERANCE=0.5 scripts/bench_smoke.sh
@@ -43,8 +41,8 @@
 #     or legacy stream) must keep returning the exact encoded symbols
 #     (zero tolerance),
 #   * segment-parallel decode at max workers must not lose to one worker on
-#     any tier-1 dataset (ratio < 0.95, same noise allowance as the fused
-#     gate — on multi-core boxes this is where the gap array pays off; on a
+#     any tier-1 dataset (ratio < 0.95, a small noise allowance — on
+#     multi-core boxes this is where the gap array pays off; on a
 #     single-core box the two configs run the same code, so the bar drops
 #     to 0.85, a pure task-crew-overhead guard against the bimodal clock),
 #   * the table-driven fast path must stay >= 2x the bit-serial walk at one
@@ -68,8 +66,8 @@
 # PR10 adds a fifth gate on the fused-decompress rows regress now emits
 # (BENCH_pr10.json):
 #
-#   * every restored field must stay byte-identical between the fused and
-#     the classic staged decompress graph, and the chunked z-carry scan
+#   * every restored field must stay byte-identical between the fused
+#     graph and the classic staged reference graph, and the chunked z-carry scan
 #     must return the exact serial bytes at every worker count (both zero
 #     tolerance),
 #   * the fused decompress pass must not lose to the classic graph on any
@@ -135,14 +133,6 @@ best_speedup = max(new["speedups"].values())
 if best_speedup < 1.5:
     failures.append(f"best fused-parallel speedup {best_speedup:.2f}x < 1.5x floor")
 
-# PR5 gate: the tile-parallel fused pass at max workers must never lose to
-# the serial streaming pass it replaced, on any tier-1 dataset.
-for dataset, ratio in new["parallel_vs_serial"].items():
-    if ratio < 0.95:
-        failures.append(
-            f"fused-parallel {ratio:.2f}x fused-serial on {dataset} "
-            f"(must be >= 0.95)")
-
 base_stages = {(s["stage"], s["level"]): s["gbps"] for s in base["stages"]}
 for s in new["stages"]:
     key = (s["stage"], s["level"])
@@ -159,9 +149,7 @@ if failures:
     for f in failures:
         print(f"  - {f}")
     sys.exit(1)
-best_ratio = max(new["parallel_vs_serial"].values())
 print(f"bench_smoke: OK (best fused-parallel speedup {best_speedup:.2f}x, "
-      f"parallel/serial up to {best_ratio:.2f}x, "
       f"{len(new['stages'])} stage measurements within {tol:.0%} of baseline)")
 EOF
 

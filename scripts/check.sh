@@ -3,7 +3,10 @@
 #
 #   1. default        — RelWithDebInfo build, full test suite (includes the
 #                       fzcheck simulator-hazard tests: any SanitizerReport
-#                       diagnostic fails test_sanitizer)
+#                       diagnostic fails test_sanitizer), run twice: once
+#                       unpinned and once pinned to one core (taskset -c 0).
+#                       Strip counts follow the core count, and so does
+#                       which code runs, so the suite must pass on both.
 #   1b. service smoke — fzd selftest (job taxonomy, byte-identity vs a
 #                       direct Codec, policy/params rejection) plus a short
 #                       concurrent soak against the admission queue; re-run
@@ -11,10 +14,11 @@
 #   2. bench smoke    — scripts/bench_smoke.sh guards the SIMD/fused and
 #                       tile-parallel throughput against the checked-in
 #                       BENCH_pr5.json baseline (tolerance via
-#                       FZ_BENCH_TOLERANCE), including the fused-parallel
-#                       >= fused-serial gate, and the PR6 random-access
-#                       reader gate (byte-identical slices, hot-cache hit
-#                       rate, prefetch effectiveness) via BENCH_pr6.json
+#                       FZ_BENCH_TOLERANCE), including the stream-identity
+#                       and fused >= 1.5x unfused gates, and the PR6
+#                       random-access reader gate (byte-identical slices,
+#                       hot-cache hit rate, prefetch effectiveness) via
+#                       BENCH_pr6.json
 #   3. trace smoke    — runs fz_cli under FZ_TRACE and --trace, plus a
 #                       small bench/regress run under FZ_TRACE; in each
 #                       case scripts/validate_trace.py checks the Chrome
@@ -100,6 +104,9 @@ service_smoke() {
 
 run_preset default
 
+echo "==== default suite pinned to one core (taskset -c 0) ===="
+taskset -c 0 ctest --preset default -j "${jobs}"
+
 echo "==== service smoke: fzd selftest + concurrent soak ===="
 service_smoke build/src/fzd
 
@@ -109,8 +116,9 @@ scripts/bench_smoke.sh build/bench/regress build/bench/random_access
 echo "==== trace smoke: telemetry export validates ===="
 trace_smoke build/examples/fz_cli
 # A traced bench run: every env-sink codec in regress records into one
-# trace, covering the unfused, fused-serial and fused-parallel compression
-# graphs — including the per-strip spans of the tile-parallel pass.
+# trace, covering the unfused reference graph and the fused-parallel
+# production graph — including the per-strip spans of the tile-parallel
+# pass.
 trace_tmp=$(mktemp -d)
 FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
   --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" > /dev/null
@@ -130,8 +138,8 @@ if [[ "${1:-}" != "--fast" ]]; then
 
   echo "==== fused-parallel schedule independence (asan-ubsan) ===="
   # The thread-scaling byte-identity suite again, explicitly, under the
-  # sanitizers: worker counts {1,2,3,8} x dtypes x SIMD tiers must stay
-  # byte-identical and fault-free.
+  # sanitizers: worker counts {1,2,3,8} x dtypes x {scalar, AVX2} must
+  # match the unfused reference and stay fault-free.
   build-asan/tests/test_fused_parallel
   build-asan/tests/test_threading \
     --gtest_filter='Threading.SharedSinkAcrossFusedStripWorkers'

@@ -35,11 +35,9 @@ class AlignedBuffer {
   void resize(size_t bytes);
 
   /// Resize, discarding contents, WITHOUT touching the new bytes: the pages
-  /// come straight from the allocator (for large buffers, untouched
-  /// zero-fill-on-demand mappings).  This is what makes NUMA first-touch
-  /// placement possible — the eager memset of resize() would commit every
-  /// page to the allocating thread's node.  Callers must overwrite every
-  /// byte before reading, exactly like a recycled pool buffer.
+  /// come straight from the allocator, so a buffer the caller overwrites
+  /// anyway is not written twice.  Callers must overwrite every byte before
+  /// reading, exactly like a recycled pool buffer.
   void resize_uninitialized(size_t bytes);
 
   /// Resize preserving the common prefix; new bytes are zero-initialized.

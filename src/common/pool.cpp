@@ -20,7 +20,6 @@ PooledBuffer& PooledBuffer::operator=(PooledBuffer&& other) noexcept {
     pool_ = std::exchange(other.pool_, nullptr);
     buf_ = std::move(other.buf_);
     size_ = std::exchange(other.size_, 0);
-    fresh_ = std::exchange(other.fresh_, false);
   }
   return *this;
 }
@@ -30,7 +29,6 @@ void PooledBuffer::release() {
   pool_ = nullptr;
   buf_ = AlignedBuffer{};
   size_ = 0;
-  fresh_ = false;
 }
 
 PooledBuffer BufferPool::acquire(size_t bytes, bool zeroed) {
@@ -79,16 +77,15 @@ PooledBuffer BufferPool::acquire(size_t bytes, bool zeroed) {
     if (zeroed) {
       buf.resize(bytes);  // fresh allocations are already zeroed
     } else {
-      // The caller overwrites every byte, so leave the fresh pages
-      // untouched: large allocations stay zero-fill-on-demand mappings,
-      // which lets the NUMA first-touch pass (fused_first_touch_strips)
-      // place each strip's pages on the node that will work on them.
+      // The caller overwrites every byte, so skip the zero-fill: a large
+      // lease the stage rewrites anyway (a 200 MB i64 decode lease) would
+      // otherwise be written twice.
       buf.resize_uninitialized(bytes);
     }
   } else if (zeroed) {
     std::memset(buf.data(), 0, bytes);
   }
-  return PooledBuffer(this, std::move(buf), bytes, /*fresh=*/!recycled);
+  return PooledBuffer(this, std::move(buf), bytes);
 }
 
 void BufferPool::put_back(AlignedBuffer buf) {

@@ -56,12 +56,6 @@ class PooledBuffer {
   size_t capacity() const { return buf_.size(); }
   bool empty() const { return size_ == 0; }
 
-  /// True when this lease was a pool miss — a fresh allocation whose pages
-  /// have never been written.  The NUMA first-touch placement pass
-  /// (core/kernels_simd.hpp) only runs on fresh leases: recycled pages
-  /// already belong to whichever node touched them first.
-  bool fresh() const { return fresh_; }
-
   u8* data() { return buf_.data(); }
   const u8* data() const { return buf_.data(); }
   MutByteSpan bytes() { return {data(), size_}; }
@@ -79,13 +73,12 @@ class PooledBuffer {
 
  private:
   friend class BufferPool;
-  PooledBuffer(BufferPool* pool, AlignedBuffer buf, size_t size, bool fresh)
-      : pool_(pool), buf_(std::move(buf)), size_(size), fresh_(fresh) {}
+  PooledBuffer(BufferPool* pool, AlignedBuffer buf, size_t size)
+      : pool_(pool), buf_(std::move(buf)), size_(size) {}
 
   BufferPool* pool_ = nullptr;
   AlignedBuffer buf_;
   size_t size_ = 0;
-  bool fresh_ = false;
 };
 
 class BufferPool {
@@ -107,7 +100,8 @@ class BufferPool {
 
   /// Lease a buffer exposing `bytes` bytes.  When `zeroed` (the default)
   /// the leased contents are cleared; pass false when the caller overwrites
-  /// every byte (recycled buffers hold stale data).
+  /// every byte (recycled buffers hold stale data, and a pool miss skips
+  /// the memset).
   PooledBuffer acquire(size_t bytes, bool zeroed = true);
 
   /// Free all cached (idle) buffers.  Outstanding leases are unaffected.

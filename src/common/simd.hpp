@@ -2,22 +2,21 @@
 //
 // The paper's speed comes from warp-level bit manipulation and kernel
 // fusion; on the host the same roles are played by vector registers and the
-// fused tile pipeline.  Every vectorized kernel ships three tiers —
+// fused tile pipeline.  Every vectorized kernel ships two tiers —
 //   AVX2   : 256-bit integer/double path (movemask bit-transpose, 4x-wide
 //            exact llround emulation)
-//   SSE2   : 128-bit path (x86-64 baseline, always compiled on x86)
-//   Scalar : the pre-existing reference code, bit-identical by definition
+//   Scalar : the reference code, bit-identical by definition
 // — selected at runtime from CPUID, clamped by an explicit override.
 //
 // Overrides (strongest first):
 //   * FzParams::simd (SimdDispatch) — per-codec, used by the stage graphs
 //     and the equivalence tests;
-//   * FZ_SIMD environment variable ("scalar" | "sse2" | "avx2") — consulted
-//     when the param says Auto, so sanitizer/CI runs can pin a tier without
-//     code changes.
+//   * FZ_SIMD environment variable ("scalar" | "avx2") — consulted when the
+//     param says Auto, so sanitizer/CI runs can pin a tier without code
+//     changes.
 // A request above what the CPU supports clamps down to the supported tier
-// (never up), so forcing "avx2" on a non-AVX2 box silently runs SSE2 or
-// scalar rather than faulting.
+// (never up), so forcing "avx2" on a non-AVX2 box silently runs scalar
+// rather than faulting.
 #pragma once
 
 #include <cstdlib>
@@ -28,43 +27,32 @@
 namespace fz {
 
 /// Instruction-set tiers, ordered: higher value = wider vectors.
-enum class SimdLevel : u8 { Scalar = 0, SSE2 = 1, AVX2 = 2 };
+enum class SimdLevel : u8 { Scalar = 0, AVX2 = 1 };
 
 /// Dispatch request: Auto resolves from FZ_SIMD / CPUID at run time.
-enum class SimdDispatch : u8 { Auto = 0, Scalar = 1, SSE2 = 2, AVX2 = 3 };
+enum class SimdDispatch : u8 { Auto = 0, Scalar = 1, AVX2 = 2 };
 
 inline const char* simd_level_name(SimdLevel l) {
-  switch (l) {
-    case SimdLevel::AVX2:
-      return "avx2";
-    case SimdLevel::SSE2:
-      return "sse2";
-    default:
-      return "scalar";
-  }
+  return l == SimdLevel::AVX2 ? "avx2" : "scalar";
 }
 
 /// Highest tier this CPU executes.  Cached after the first call.
 inline SimdLevel simd_supported() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const SimdLevel cached = [] {
-    if (__builtin_cpu_supports("avx2")) return SimdLevel::AVX2;
-    if (__builtin_cpu_supports("sse2")) return SimdLevel::SSE2;
-    return SimdLevel::Scalar;
-  }();
+  static const SimdLevel cached = __builtin_cpu_supports("avx2")
+                                      ? SimdLevel::AVX2
+                                      : SimdLevel::Scalar;
   return cached;
 #else
   return SimdLevel::Scalar;
 #endif
 }
 
-/// Parse a level name ("scalar" | "sse2" | "avx2").  Returns false (and
-/// leaves `out` untouched) on anything else.
+/// Parse a level name ("scalar" | "avx2").  Returns false (and leaves `out`
+/// untouched) on anything else.
 inline bool simd_parse_level(std::string_view name, SimdLevel& out) {
   if (name == "scalar") {
     out = SimdLevel::Scalar;
-  } else if (name == "sse2") {
-    out = SimdLevel::SSE2;
   } else if (name == "avx2") {
     out = SimdLevel::AVX2;
   } else {

@@ -2,44 +2,7 @@
 // fzlint flags allocation and blocking inside its critical sections.
 #include "common/thread_pool.hpp"
 
-#if defined(__linux__)
-#include <dirent.h>
-
-#include <cstdlib>
-#include <cstring>
-#endif
-
 namespace fz {
-
-namespace {
-
-size_t probe_numa_node_count() {
-#if defined(__linux__)
-  // Count /sys/devices/system/node/node<N> entries — the same view libnuma
-  // reports, without the library dependency.
-  DIR* dir = ::opendir("/sys/devices/system/node");
-  if (dir == nullptr) return 1;
-  size_t nodes = 0;
-  while (const dirent* entry = ::readdir(dir)) {
-    const char* name = entry->d_name;
-    if (std::strncmp(name, "node", 4) != 0) continue;
-    char* end = nullptr;
-    (void)std::strtoul(name + 4, &end, 10);
-    if (end != name + 4 && *end == '\0') ++nodes;
-  }
-  ::closedir(dir);
-  return nodes == 0 ? 1 : nodes;
-#else
-  return 1;
-#endif
-}
-
-}  // namespace
-
-size_t numa_node_count() {
-  static const size_t nodes = probe_numa_node_count();
-  return nodes;
-}
 
 ThreadPool::ThreadPool(size_t workers) {
   if (workers == 0) {

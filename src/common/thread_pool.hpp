@@ -41,13 +41,6 @@
 
 namespace fz {
 
-/// Number of NUMA memory nodes on this machine (>= 1).  Probed once from
-/// /sys/devices/system/node and cached; returns 1 wherever the sysfs tree
-/// is absent (non-Linux, containers without sysfs).  The NUMA first-touch
-/// placement pass (core/kernels_simd.hpp fused_first_touch_strips) gates on
-/// this so single-node boxes pay nothing.
-size_t numa_node_count();
-
 class ThreadPool {
  public:
   /// Spin up `workers` persistent threads (0 = one per hardware thread).

@@ -10,13 +10,6 @@ namespace fz {
 
 namespace {
 
-/// Returns the context's scratch leases to the pool when a run ends —
-/// including by exception, so a failed run never strands a lease.
-struct ScratchGuard {
-  PipelineContext& ctx;
-  ~ScratchGuard() { ctx.release_scratch(); }
-};
-
 /// Pool hit/miss counts before a run, for the run span's attribute delta.
 /// Only captured when a sink is attached — stats() takes the pool mutex,
 /// which the disabled-telemetry path must not pay.
@@ -41,6 +34,16 @@ void finish_run_span(telemetry::Span& span, const PipelineContext& ctx,
   const BufferPool::Stats after = pool.stats();
   span.arg("pool_hits", static_cast<double>(after.hits - before.hits));
   span.arg("pool_misses", static_cast<double>(after.misses - before.misses));
+}
+
+/// Run one graph over a prepared context inside a `name` run span that
+/// carries the run's attributes.
+void run_traced(const StageGraph& graph, PipelineContext& ctx,
+                const BufferPool& pool, const char* name) {
+  const PoolDelta before = pool_delta(pool, ctx.sink != nullptr);
+  telemetry::Span run(ctx.sink, name);
+  run_stages(graph, ctx);
+  finish_run_span(run, ctx, pool, before);
 }
 
 }  // namespace
@@ -73,26 +76,14 @@ void Codec::compress_impl(std::span<const T> data, Dims dims,
   FZ_REQUIRE(!data.empty(), "cannot compress an empty field");
   FZ_REQUIRE(data.size() == dims.count(), "dims do not match data size");
 
-  // The fused tile pipeline covers V2 only; validate() rejects a fused V1
-  // request up front, so the choice here is purely on the flag.  Either
-  // graph emits the same bytes.
-  const StageGraph& graph =
-      params_.fused_host_graph ? compress_stages_fused_ : compress_stages_;
-
   ctx_.begin_compress(&pool_, params_, dims, data.size(), sizeof(T),
                       data.data(), &out.bytes);
   ctx_.sink = sink_;
-  {
-    const PoolDelta before = pool_delta(pool_, sink_ != nullptr);
-    telemetry::Span run(sink_, "compress");
-    ScratchGuard guard{ctx_};
-    for (const auto& stage : graph) {
-      telemetry::Span span(sink_, stage->name());
-      stage->run(ctx_);
-      span.arg("bytes_in", static_cast<double>(ctx_.stats.input_bytes));
-    }
-    finish_run_span(run, ctx_, pool_, before);
-  }
+  // The fused tile pipeline is V2-only; V1 runs the unfused graph.
+  run_traced(params_.quant == QuantVersion::V2Optimized
+                 ? compress_stages_fused_
+                 : compress_stages_,
+             ctx_, pool_, "compress");
   out.stats = ctx_.stats;
   if (with_costs) out.stage_costs = fz_compression_costs(out.stats, params_);
 }
@@ -138,29 +129,17 @@ Dims Codec::decompress_into_impl(ByteSpan stream, std::span<T> out,
   // offset 6 by a format.hpp static_assert) to route V1/legacy streams to
   // the unfused graph.  Both graphs open with ParseHeaderStage, so a
   // garbage peek on a truncated or corrupt stream still fails with the
-  // graph-independent format error.  Either graph writes the same bytes.
+  // graph-independent format error.
   const bool v2_stream =
       stream.size() >= sizeof(StreamHeader) &&
       stream[offsetof(StreamHeader, quant)] ==
           static_cast<u8>(QuantVersion::V2Optimized);
-  const StageGraph& graph = params_.fused_decompress && v2_stream
-                                ? decompress_stages_fused_
-                                : decompress_stages_;
 
   ctx_.begin_decompress(&pool_, params_, stream, out.size(), sizeof(T),
                         out.data());
   ctx_.sink = sink_;
-  {
-    const PoolDelta before = pool_delta(pool_, sink_ != nullptr);
-    telemetry::Span run(sink_, "decompress");
-    ScratchGuard guard{ctx_};
-    for (const auto& stage : graph) {
-      telemetry::Span span(sink_, stage->name());
-      stage->run(ctx_);
-      span.arg("bytes_in", static_cast<double>(ctx_.stats.input_bytes));
-    }
-    finish_run_span(run, ctx_, pool_, before);
-  }
+  run_traced(v2_stream ? decompress_stages_fused_ : decompress_stages_, ctx_,
+             pool_, "decompress");
   if (stage_costs != nullptr) {
     FzParams params;
     params.quant = ctx_.params.quant;

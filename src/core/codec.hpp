@@ -1,7 +1,9 @@
 // fz::Codec — a reusable compression/decompression engine.
 //
 // A Codec owns a BufferPool plus the compression and decompression stage
-// graphs, and threads one PipelineContext through them per call.  The first
+// graphs, and threads one PipelineContext through them per call.  The
+// quantizer version picks the graph (core/stages.hpp): V2 streams run the
+// fused graphs, V1 streams the unfused ones.  The first
 // call on each path allocates the scratch buffers (pool misses); every
 // subsequent call of a same-shaped field is answered entirely from the pool
 // (zero scratch heap allocations — see BufferPool::Stats and the
@@ -35,7 +37,7 @@ namespace fz {
 
 class Codec {
  public:
-  explicit Codec(FzParams params = {}) ;
+  explicit Codec(FzParams params = {});
 
   // The pool (mutex) and the in-flight context pin a Codec in place.
   Codec(const Codec&) = delete;

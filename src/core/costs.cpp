@@ -54,7 +54,8 @@ constexpr double kHuffGapSegmentSetupOps = 24.0;
 }  // namespace
 
 std::vector<CostSheet> fz_compression_costs(const FzStats& st,
-                                            const FzParams& params) {
+                                            const FzParams& params,
+                                            bool split_shuffle_mark) {
   const double n = static_cast<double>(st.count);
   const size_t words = round_up(st.count, kTileBytes / sizeof(u16)) / 2;
   const double w = static_cast<double>(words);
@@ -90,7 +91,7 @@ std::vector<CostSheet> fz_compression_costs(const FzStats& st,
 
   // ---- stage 2: bitshuffle + mark ----------------------------------------
   const u64 flag_bytes = static_cast<u64>(blocks) + static_cast<u64>(blocks) / 8;
-  if (params.fused_bitshuffle_mark) {
+  if (!split_shuffle_mark) {
     CostSheet bs;
     bs.name = "bitshuffle-mark-fused";
     bs.kernel_launches = 1;

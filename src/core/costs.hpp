@@ -15,8 +15,12 @@
 
 namespace fz {
 
-std::vector<cudasim::CostSheet> fz_compression_costs(const FzStats& st,
-                                                     const FzParams& params);
+/// Stage 2 is one fused "bitshuffle-mark-fused" launch, what FZ runs
+/// (§3.4).  `split_shuffle_mark` prices the split "bitshuffle" + "mark"
+/// pair instead, which re-reads the shuffled words (the Fig. 10 ablation).
+std::vector<cudasim::CostSheet> fz_compression_costs(
+    const FzStats& st, const FzParams& params,
+    bool split_shuffle_mark = false);
 std::vector<cudasim::CostSheet> fz_decompression_costs(const FzStats& st,
                                                        const FzParams& params);
 

@@ -1,7 +1,7 @@
 // The FZ stream format: the on-disk header plus its validation rules.
 //
 // Shared by the compression stage graph (core/stages.cpp), the decoders,
-// and fz_inspect, so a header field can never be written by one layer and
+// and fz::inspect, so a header field can never be written by one layer and
 // skipped by another's validation.  Internal — the public API is
 // core/pipeline.hpp and core/codec.hpp.
 #pragma once

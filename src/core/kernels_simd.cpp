@@ -22,8 +22,8 @@ namespace fz {
 
 namespace {
 
-// 1-D inputs are fused in chunks of this many elements (two chunks of i64
-// scratch stay far under L2 alongside the 4 KiB tile buffer).
+// 1-D strips are fused in chunks of this many elements (one chunk of i64
+// scratch stays far under L2 alongside the 4 KiB tile buffer).
 constexpr size_t kFusedChunk1D = 4096;
 
 // ---- scalar reference rows -------------------------------------------------
@@ -128,13 +128,13 @@ size_t encode_row_scalar(const i64* d, size_t n, u16* codes) {
 // ---- fused Lorenzo delta + encode rows -------------------------------------
 //
 // The tile-parallel strip body computes the Lorenzo residual and the
-// sign-magnitude code in one kernel, so the delta row of the serial fused
-// pass is never stored and reloaded.  Writing d[i] = s[i] - s[i-1] with
+// sign-magnitude code in one kernel, so no delta row is ever stored and
+// reloaded.  Writing d[i] = s[i] - s[i-1] with
 // s the rank-specific prediction sum (s = p in 1-D, cur - prev in 2-D,
 // cur - prev - ppy + ppy1 in 3-D) makes the three ranks share one shape.
 // `has_left` distinguishes a mid-row segment (element 0 has an in-row left
 // neighbour) from a row start, whose delta drops every [i-1] term — exactly
-// delta_row_2d/3d's d[0].  1-D has no flag: the caller keeps a carry slot
+// lorenzo_forward at x = 0.  1-D has no flag: the caller keeps a carry slot
 // at p[-1] (zero at the very start).  All arithmetic is i64 adds, so every
 // tier is bit-identical by construction.
 
@@ -195,219 +195,6 @@ void mark_rows_scalar(const u32* words, size_t nblocks, u8* byte_flags,
 }
 
 #ifdef FZ_SIMD_X86
-
-// ---- SSE2 tier -------------------------------------------------------------
-
-// Exact-llround limit for the SSE2 path: trunc goes through cvttpd_epi32,
-// so the scaled value must fit i32.  Lane pairs at or beyond the limit (or
-// NaN) take the scalar fallback, preserving bit-identity everywhere.
-constexpr double kSse2ExactLimit = 1073741824.0;  // 2^30
-
-__attribute__((target("sse2"))) inline __m128i llround_pd_sse2(__m128d x) {
-  // trunc (exact for |x| < 2^31), then round-half-away adjust: the
-  // fraction x - trunc(x) is exact (Sterbenz), |frac| >= 0.5 adds +/-1
-  // with the sign of the fraction — precisely std::llround.
-  const __m128i t32 = _mm_cvttpd_epi32(x);
-  const __m128d t = _mm_cvtepi32_pd(t32);
-  const __m128d frac = _mm_sub_pd(x, t);
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  const __m128d afrac = _mm_andnot_pd(sign_mask, frac);
-  const __m128d needs = _mm_cmpge_pd(afrac, _mm_set1_pd(0.5));
-  const __m128d one = _mm_or_pd(_mm_set1_pd(1.0), _mm_and_pd(frac, sign_mask));
-  const __m128d r = _mm_add_pd(t, _mm_and_pd(needs, one));
-  // Integer-valued |r| <= 2^30: the 2^52+2^51 magic constant turns the
-  // double's mantissa bits into the two's-complement i64 directly.
-  const __m128d magic = _mm_set1_pd(6755399441055744.0);
-  return _mm_sub_epi64(_mm_castpd_si128(_mm_add_pd(r, magic)),
-                       _mm_set1_epi64x(0x4338000000000000LL));
-}
-
-__attribute__((target("sse2"))) void prequant_row_f64_sse2(const f64* data,
-                                                           size_t n, double inv,
-                                                           i64* out) {
-  const __m128d vinv = _mm_set1_pd(inv);
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  const __m128d limit = _mm_set1_pd(kSse2ExactLimit);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d x = _mm_mul_pd(_mm_loadu_pd(data + i), vinv);
-    const __m128d ax = _mm_andnot_pd(sign_mask, x);
-    if (_mm_movemask_pd(_mm_cmpnlt_pd(ax, limit)) != 0) {
-      out[i] = prequant_one(data[i], inv);
-      out[i + 1] = prequant_one(data[i + 1], inv);
-      continue;
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), llround_pd_sse2(x));
-  }
-  for (; i < n; ++i) out[i] = prequant_one(data[i], inv);
-}
-
-__attribute__((target("sse2"))) void prequant_row_f32_sse2(const f32* data,
-                                                           size_t n, double inv,
-                                                           i64* out) {
-  const __m128d vinv = _mm_set1_pd(inv);
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  const __m128d limit = _mm_set1_pd(kSse2ExactLimit);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v = _mm_loadu_ps(data + i);
-    const __m128d lo = _mm_mul_pd(_mm_cvtps_pd(v), vinv);
-    const __m128d hi = _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(v, v)), vinv);
-    const int biglo = _mm_movemask_pd(_mm_cmpnlt_pd(_mm_andnot_pd(sign_mask, lo), limit));
-    const int bighi = _mm_movemask_pd(_mm_cmpnlt_pd(_mm_andnot_pd(sign_mask, hi), limit));
-    if ((biglo | bighi) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one(static_cast<double>(data[i + k]), inv);
-      continue;
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), llround_pd_sse2(lo));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 2), llround_pd_sse2(hi));
-  }
-  for (; i < n; ++i) out[i] = prequant_one(static_cast<double>(data[i]), inv);
-}
-
-__attribute__((target("sse2"))) void prequant_row_f32fast_sse2(
-    const f32* data, size_t n, double inv, float invf, i64* out) {
-  const __m128 vinvf = _mm_set1_ps(invf);
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  const __m128 limitf = _mm_set1_ps(kF32FastLimit);
-  const __m128 half = _mm_set1_ps(0.5f);
-  const __m128 mslope = _mm_set1_ps(0x1p-22f);
-  const __m128 mfloor = _mm_set1_ps(0x1p-24f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 x = _mm_mul_ps(_mm_loadu_ps(data + i), vinvf);
-    const __m128 ax = _mm_and_ps(x, abs_mask);
-    if (_mm_movemask_ps(_mm_cmpnlt_ps(ax, limitf)) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one_f32fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m128i q = _mm_cvtps_epi32(x);  // nearest-even == lrintf
-    // Same margin test as prequant_one_f32fast, all four lanes at once;
-    // any lane too close to a half-integer boundary sends the group to
-    // the exact scalar path.
-    const __m128 diff =
-        _mm_and_ps(_mm_sub_ps(x, _mm_cvtepi32_ps(q)), abs_mask);
-    const __m128 margin = _mm_add_ps(_mm_mul_ps(ax, mslope), mfloor);
-    if (_mm_movemask_ps(_mm_cmpnlt_ps(diff, _mm_sub_ps(half, margin))) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one_f32fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m128i sign = _mm_srai_epi32(q, 31);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_unpacklo_epi32(q, sign));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 2),
-                     _mm_unpackhi_epi32(q, sign));
-  }
-  for (; i < n; ++i) out[i] = prequant_one_f32fast(data[i], inv, invf);
-}
-
-__attribute__((target("sse2"))) void prequant_row_f64fast_sse2(
-    const f64* data, size_t n, double inv, float invf, i64* out) {
-  const __m128 vinvf = _mm_set1_ps(invf);
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  const __m128 limitf = _mm_set1_ps(kF32FastLimit);
-  const __m128 fltmin = _mm_set1_ps(FLT_MIN);
-  const __m128 zero = _mm_setzero_ps();
-  const __m128 half = _mm_set1_ps(0.5f);
-  const __m128 mslope = _mm_set1_ps(kF64FastMarginSlope);
-  const __m128 mfloor = _mm_set1_ps(0x1p-24f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // cvtpd_ps narrows round-to-nearest-even, exactly fl32(v).
-    const __m128 vf = _mm_movelh_ps(_mm_cvtpd_ps(_mm_loadu_pd(data + i)),
-                                    _mm_cvtpd_ps(_mm_loadu_pd(data + i + 2)));
-    const __m128 av = _mm_and_ps(vf, abs_mask);
-    // Lanes where fl32(v) went subnormal-but-nonzero take the exact path.
-    const __m128 sub =
-        _mm_and_ps(_mm_cmplt_ps(av, fltmin), _mm_cmpneq_ps(av, zero));
-    const __m128 x = _mm_mul_ps(vf, vinvf);
-    const __m128 ax = _mm_and_ps(x, abs_mask);
-    if (_mm_movemask_ps(_mm_or_ps(sub, _mm_cmpnlt_ps(ax, limitf))) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m128i q = _mm_cvtps_epi32(x);  // nearest-even == lrintf
-    // Same margin test as prequant_one_f64fast, all four lanes at once.
-    const __m128 diff =
-        _mm_and_ps(_mm_sub_ps(x, _mm_cvtepi32_ps(q)), abs_mask);
-    const __m128 margin = _mm_add_ps(_mm_mul_ps(ax, mslope), mfloor);
-    if (_mm_movemask_ps(_mm_cmpnlt_ps(diff, _mm_sub_ps(half, margin))) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m128i sign = _mm_srai_epi32(q, 31);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_unpacklo_epi32(q, sign));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 2),
-                     _mm_unpackhi_epi32(q, sign));
-  }
-  for (; i < n; ++i) out[i] = prequant_one_f64fast(data[i], inv, invf);
-}
-
-// Vectorized Hacker's Delight swap network: the scalar loop in
-// transpose_bit_matrix_32 over a[32], four words per XMM register.  The
-// j=16/8/4 stages pair whole registers; j=2/1 pair lanes within a register
-// via pshufd + a lane mask.  Word-order reversal on load/store conjugates
-// the network into our ballot convention, as in the scalar code.
-__attribute__((target("sse2"))) inline void hd_step_sse2(__m128i& lo,
-                                                         __m128i& hi, int j,
-                                                         __m128i m) {
-  const __m128i t =
-      _mm_and_si128(_mm_xor_si128(lo, _mm_srli_epi32(hi, j)), m);
-  lo = _mm_xor_si128(lo, t);
-  hi = _mm_xor_si128(hi, _mm_slli_epi32(t, j));
-}
-
-__attribute__((target("sse2"))) void transpose_unit_sse2(const u32* in,
-                                                         u32* out,
-                                                         size_t ostride) {
-  __m128i r[8];
-  for (size_t i = 0; i < 8; ++i)
-    r[i] = _mm_shuffle_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 28 - 4 * i)),
-        _MM_SHUFFLE(0, 1, 2, 3));
-
-  const __m128i m16 = _mm_set1_epi32(0x0000ffff);
-  for (size_t i = 0; i < 4; ++i) hd_step_sse2(r[i], r[i + 4], 16, m16);
-  const __m128i m8 = _mm_set1_epi32(0x00ff00ff);
-  hd_step_sse2(r[0], r[2], 8, m8);
-  hd_step_sse2(r[1], r[3], 8, m8);
-  hd_step_sse2(r[4], r[6], 8, m8);
-  hd_step_sse2(r[5], r[7], 8, m8);
-  const __m128i m4 = _mm_set1_epi32(0x0f0f0f0f);
-  for (size_t i = 0; i < 8; i += 2) hd_step_sse2(r[i], r[i + 1], 4, m4);
-
-  const __m128i m2 = _mm_set1_epi32(0x33333333);
-  const __m128i low01 = _mm_set_epi32(0, 0, -1, -1);  // lanes 0,1
-  for (auto& reg : r) {
-    const __m128i p = _mm_shuffle_epi32(reg, _MM_SHUFFLE(1, 0, 3, 2));
-    const __m128i t = _mm_and_si128(
-        _mm_and_si128(_mm_xor_si128(reg, _mm_srli_epi32(p, 2)), m2), low01);
-    reg = _mm_xor_si128(
-        _mm_xor_si128(reg, t),
-        _mm_slli_epi32(_mm_shuffle_epi32(t, _MM_SHUFFLE(1, 0, 3, 2)), 2));
-  }
-  const __m128i m1 = _mm_set1_epi32(0x55555555);
-  const __m128i low02 = _mm_set_epi32(0, -1, 0, -1);  // lanes 0,2
-  for (auto& reg : r) {
-    const __m128i p = _mm_shuffle_epi32(reg, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128i t = _mm_and_si128(
-        _mm_and_si128(_mm_xor_si128(reg, _mm_srli_epi32(p, 1)), m1), low02);
-    reg = _mm_xor_si128(
-        _mm_xor_si128(reg, t),
-        _mm_slli_epi32(_mm_shuffle_epi32(t, _MM_SHUFFLE(2, 3, 0, 1)), 1));
-  }
-
-  alignas(16) u32 tmp[kUnitWords];
-  for (size_t i = 0; i < 8; ++i)
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp + 4 * i), r[i]);
-  for (size_t j = 0; j < kUnitWords; ++j) out[j * ostride] = tmp[31 - j];
-}
 
 // ---- AVX2 tier -------------------------------------------------------------
 
@@ -793,16 +580,6 @@ KernelOps ops_for(SimdLevel level) {
               encode_row_avx2,
               transpose_unit_avx2, mark_rows_avx2,
               delta1_encode_avx2, delta2_encode_avx2, delta3_encode_avx2};
-    case SimdLevel::SSE2:
-      // Sign-magnitude encode has no useful SSE2 form (no 64-bit compare
-      // or blend below AVX2); it and the fused delta+encode rows stay
-      // scalar at this tier.
-      return {prequant_row_f32_sse2, prequant_row_f64_sse2,
-              prequant_row_f32fast_sse2, prequant_row_f64fast_sse2,
-              encode_row_scalar,
-              transpose_unit_sse2, mark_rows_scalar,
-              delta1_encode_scalar, delta2_encode_scalar,
-              delta3_encode_scalar};
     default:
       return kScalarOps;
   }
@@ -814,8 +591,8 @@ KernelOps ops_for(SimdLevel level) {
 
 // ---- fused tile pipeline ---------------------------------------------------
 
-// Accumulates delta rows into one cache-resident tile of codes; a full tile
-// is immediately transposed (plane-major scatter, as bitshuffle_tiles) and
+// Accumulates codes into one cache-resident tile; a full tile is
+// immediately transposed (plane-major scatter, as bitshuffle_tiles) and
 // zero-block marked, so codes never exist outside this 4 KiB buffer.
 class TileSink {
  public:
@@ -826,21 +603,10 @@ class TileSink {
         byte_flags_(byte_flags.data()),
         bit_flags_(bit_flags.data()) {}
 
-  void consume(const i64* d, size_t n) {
-    while (n != 0) {
-      const size_t take = std::min(kCodesPerTile - fill_, n);
-      sat_ += ops_.encode(d, take, codes() + fill_);
-      fill_ += take;
-      d += take;
-      n -= take;
-      if (fill_ == kCodesPerTile) flush();
-    }
-  }
-
-  /// Segment-producer form of consume: `fn(off, take, out)` writes `take`
-  /// codes for logical offsets [off, off + take) directly into the tile
-  /// buffer and returns its saturation count.  Lets the fused delta+encode
-  /// kernels emit codes without an intermediate delta row.
+  /// `fn(off, take, out)` writes `take` codes for logical offsets
+  /// [off, off + take) directly into the tile buffer and returns its
+  /// saturation count, so the fused delta+encode kernels emit codes
+  /// without an intermediate delta row.
   template <typename Fn>
   void produce(size_t n, Fn&& fn) {
     size_t off = 0;
@@ -889,148 +655,6 @@ class TileSink {
   alignas(32) u8 tile_[kTileBytes];
 };
 
-// Plain integer delta rows (Lorenzo residuals of pre-quantized values);
-// bit-identical at any tier by construction, so scalar code the compiler
-// auto-vectorizes is enough.  `cur`/`prev` are the pre-quantized rows,
-// `ppy`/`ppy1` rows y and y-1 of the previous plane (zeros where absent).
-void delta_row_2d(const i64* cur, const i64* prev, size_t nx, i64* d) {
-  d[0] = cur[0] - prev[0];
-  for (size_t x = 1; x < nx; ++x)
-    d[x] = cur[x] - cur[x - 1] - prev[x] + prev[x - 1];
-}
-
-void delta_row_3d(const i64* cur, const i64* prev, const i64* ppy,
-                  const i64* ppy1, size_t nx, i64* d) {
-  d[0] = cur[0] - prev[0] - ppy[0] + ppy1[0];
-  for (size_t x = 1; x < nx; ++x)
-    d[x] = cur[x] - cur[x - 1] - prev[x] + prev[x - 1] - ppy[x] + ppy[x - 1] +
-           ppy1[x] - ppy1[x - 1];
-}
-
-template <typename T>
-FusedTileResult fused_impl(std::span<const T> data, Dims dims, double abs_eb,
-                           bool f32_fast, std::span<u32> shuffled,
-                           std::span<u8> byte_flags, std::span<u8> bit_flags,
-                           std::span<i64> row_scratch,
-                           std::span<i64> plane_scratch, SimdLevel level) {
-  FZ_REQUIRE(abs_eb > 0, "fused: error bound must be positive");
-  FZ_REQUIRE(data.size() == dims.count(), "fused: dims/size mismatch");
-  FZ_REQUIRE(data.size() > 0, "fused: empty input");
-  const size_t padded = round_up(data.size(), kCodesPerTile);
-  const size_t words = padded * sizeof(u16) / sizeof(u32);
-  FZ_REQUIRE(shuffled.size() == words, "fused: shuffled size mismatch");
-  FZ_REQUIRE(byte_flags.size() == words / kBlockWords &&
-                 bit_flags.size() == words / kBlockWords / 8,
-             "fused: flag size mismatch");
-  FZ_REQUIRE(row_scratch.size() >= fused_row_scratch_elems(dims),
-             "fused: row scratch too small");
-  FZ_REQUIRE(plane_scratch.size() >= fused_plane_scratch_elems(dims),
-             "fused: plane scratch too small");
-
-  const double inv = 1.0 / (2.0 * abs_eb);
-  const float invf = static_cast<float>(inv);
-  const KernelOps ops = ops_for(level);
-  const bool fast = f32_fast && f32_fast_ok(inv);
-  auto prequant_row = [&](const T* src, size_t n, i64* dst) {
-    if constexpr (std::is_same_v<T, f32>) {
-      if (fast)
-        ops.prequant_f32fast(src, n, inv, invf, dst);
-      else
-        ops.prequant_f32(src, n, inv, dst);
-    } else {
-      if (fast)
-        ops.prequant_f64fast(src, n, inv, invf, dst);
-      else
-        ops.prequant_f64(src, n, inv, dst);
-    }
-  };
-
-  TileSink sink(ops, shuffled, byte_flags, bit_flags);
-  FusedTileResult res;
-
-  switch (dims.rank()) {
-    case 1: {
-      const size_t n = data.size();
-      const size_t chunk = std::min(round_up(n, 8), kFusedChunk1D);
-      // p carries one pad slot in front holding the previous chunk's last
-      // value, so the delta loop needs no boundary case.
-      i64* p = row_scratch.data();
-      i64* d = p + chunk + 1;
-      p[0] = 0;
-      for (size_t b = 0; b < n; b += chunk) {
-        const size_t m = std::min(chunk, n - b);
-        prequant_row(data.data() + b, m, p + 1);
-        for (size_t x = 0; x < m; ++x) d[x] = p[x + 1] - p[x];
-        if (b == 0) {
-          res.anchor = d[0];  // d[0] == p[1] == prequant of the first value
-          d[0] = 0;
-        }
-        sink.consume(d, m);
-        p[0] = p[m];
-      }
-      break;
-    }
-    case 2: {
-      const size_t nx = dims.x, ny = dims.y;
-      const size_t stride = round_up(nx, 8);
-      i64* rows[2] = {row_scratch.data(), row_scratch.data() + stride};
-      i64* d = row_scratch.data() + 2 * stride;
-      i64* zrow = row_scratch.data() + 3 * stride;
-      std::fill(zrow, zrow + nx, i64{0});
-      const i64* prev = zrow;
-      for (size_t y = 0; y < ny; ++y) {
-        i64* cur = rows[y & 1];
-        prequant_row(data.data() + y * nx, nx, cur);
-        delta_row_2d(cur, prev, nx, d);
-        if (y == 0) {
-          res.anchor = d[0];
-          d[0] = 0;
-        }
-        sink.consume(d, nx);
-        prev = cur;
-      }
-      break;
-    }
-    default: {
-      const size_t nx = dims.x, ny = dims.y, nz = dims.z;
-      const size_t stride = round_up(nx, 8);
-      i64* rows[2] = {row_scratch.data(), row_scratch.data() + stride};
-      i64* d = row_scratch.data() + 2 * stride;
-      i64* zrow = row_scratch.data() + 3 * stride;
-      std::fill(zrow, zrow + nx, i64{0});
-      i64* plane = plane_scratch.data();
-      std::fill(plane, plane + nx * ny, i64{0});
-      for (size_t z = 0; z < nz; ++z) {
-        const i64* prev = zrow;
-        for (size_t y = 0; y < ny; ++y) {
-          i64* cur = rows[y & 1];
-          prequant_row(data.data() + (z * ny + y) * nx, nx, cur);
-          const i64* ppy = plane + y * nx;
-          const i64* ppy1 = y > 0 ? plane + (y - 1) * nx : zrow;
-          delta_row_3d(cur, prev, ppy, ppy1, nx, d);
-          if (z == 0 && y == 0) {
-            res.anchor = d[0];
-            d[0] = 0;
-          }
-          sink.consume(d, nx);
-          // Row y-1 of the previous plane is dead once row y's deltas are
-          // out; replace it with the current plane's row y-1 (delayed one
-          // row, because row y's deltas still needed the old row y-1).
-          if (y > 0) std::memcpy(plane + (y - 1) * nx, prev,
-                                 nx * sizeof(i64));
-          prev = cur;
-        }
-        std::memcpy(plane + (ny - 1) * nx, prev, nx * sizeof(i64));
-      }
-      break;
-    }
-  }
-
-  sink.finish();
-  res.saturated = sink.saturated();
-  return res;
-}
-
 // ---- tile-parallel strips --------------------------------------------------
 
 // Rows per pre-quantization batch in the strip body: one kernel dispatch
@@ -1078,9 +702,9 @@ struct StripExtent {
 
 /// One strip of the tile-parallel fused pass.  Re-prequantizes the halo its
 /// Lorenzo stencil reaches across the strip boundary (pointwise, so the
-/// values match what the serial pass carried bit-for-bit), then streams its
-/// rows through batched prequantization and the fused delta+encode kernels
-/// into a TileSink over the strip's own tiles.  `anchor` is written only by
+/// values match what the preceding strip computed bit-for-bit), then streams
+/// its rows through batched prequantization and the fused delta+encode
+/// kernels into a TileSink over the strip's own tiles.  `anchor` is written only by
 /// the strip containing element 0.
 template <typename T>
 void run_fused_strip(std::span<const T> data, Dims dims, double inv,
@@ -1210,8 +834,8 @@ void run_fused_strip(std::span<const T> data, Dims dims, double inv,
       const size_t x_off = ext.begin % nx;
       const size_t z_last = (ext.end - 1) / nxy;
 
-      // Halo init: rebuild the serial pass's plane state at (z_first,
-      // y_first) by re-prequantizing it.  At that point the delayed copies
+      // Halo init: rebuild the rolling plane state the loop below holds at
+      // (z_first, y_first) by re-prequantizing it.  At that point the delayed copies
       // have replaced rows [0, y_first-1) with plane z_first; the rest
       // still holds plane z_first-1 (zeros when z_first == 0).
       const size_t lo = y_first == 0 ? 0 : y_first - 1;
@@ -1359,41 +983,6 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
 }  // namespace
 
 // ---- public entry points ---------------------------------------------------
-
-size_t fused_row_scratch_elems(Dims dims) {
-  const size_t nx = dims.rank() == 1
-                        ? std::min(round_up(dims.count(), 8), kFusedChunk1D)
-                        : dims.x;
-  return 4 * (round_up(nx, 8) + 2);
-}
-
-size_t fused_plane_scratch_elems(Dims dims) {
-  return dims.rank() == 3 ? dims.x * dims.y : 0;
-}
-
-FusedTileResult fused_quant_shuffle_mark(FloatSpan data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level) {
-  return fused_impl(data, dims, abs_eb, f32_fast, shuffled, byte_flags,
-                    bit_flags, row_scratch, plane_scratch, level);
-}
-
-FusedTileResult fused_quant_shuffle_mark(std::span<const f64> data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level) {
-  return fused_impl(data, dims, abs_eb, f32_fast, shuffled, byte_flags,
-                    bit_flags, row_scratch, plane_scratch, level);
-}
 
 FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers) {
   const size_t n = dims.count();
@@ -1575,22 +1164,6 @@ void transpose_unit_simd(const u32* in, u32* out, size_t out_stride,
 
 TransposeUnitFn transpose_unit_fn(SimdLevel level) {
   return ops_for(level).transpose;
-}
-
-void fused_first_touch_strips(MutByteSpan bytes, size_t strips) {
-  if (strips <= 1 || bytes.empty() || numa_node_count() <= 1) return;
-  // One touch per page, strips aligned to page boundaries so two workers
-  // never claim the same page.  The strip split mirrors the even tile
-  // split of the fused passes; a static-schedule parallel_for pins strip s
-  // to the same worker slot the strip loop will claim in the common
-  // (uncontended) case.
-  constexpr size_t kPage = 4096;
-  const size_t per = round_up(div_ceil(bytes.size(), strips), kPage);
-  parallel_for(0, strips, [&](size_t s) {
-    const size_t b = s * per;
-    const size_t e = std::min(bytes.size(), b + per);
-    for (size_t i = b; i < e; i += kPage) bytes[i] = 0;
-  });
 }
 
 }  // namespace fz

@@ -15,7 +15,7 @@
 // encode -> 32x32 bit transpose -> zero-block flagging in one pass, so the
 // i64 pre-quant array of the unfused graph is never materialized.  Lorenzo
 // needs the previous row (2-D) / previous plane (3-D) of *pre-quantized*
-// values, which stream through small reused scratch buffers — the same
+// values, which stream through small per-strip scratch buffers — the same
 // trick the paper's dual-quantization plays on the GPU, where neighbours
 // are recomputed instead of communicated.
 #pragma once
@@ -82,8 +82,8 @@ void mark_blocks_simd(std::span<const u32> words, std::span<u8> byte_flags,
 
 /// One 32-word unit bit transpose: out[j * out_stride] = plane j (bit j of
 /// each input word, word i at bit i).  Exposed for the equivalence tests;
-/// the AVX2 tier uses the movemask-epi8 plane extraction, SSE2 a vectorized
-/// Hacker's Delight swap network, scalar the reference network.
+/// the AVX2 tier uses the movemask-epi8 plane extraction, scalar the
+/// Hacker's Delight reference network.
 void transpose_unit_simd(const u32* in, u32* out, size_t out_stride,
                          SimdLevel level);
 
@@ -93,46 +93,6 @@ void transpose_unit_simd(const u32* in, u32* out, size_t out_stride,
 using TransposeUnitFn = void (*)(const u32* in, u32* out, size_t out_stride);
 TransposeUnitFn transpose_unit_fn(SimdLevel level);
 
-// ---- fused tile pipeline ---------------------------------------------------
-
-struct FusedTileResult {
-  size_t saturated = 0;  ///< residual codes clipped to +/-(2^15 - 1)
-  i64 anchor = 0;        ///< pre-quantized first value (header field)
-};
-
-/// Scratch sizing for the fused pipeline: `row` covers the rotating
-/// pre-quantized row buffers + delta row (+ a zero row for absent
-/// neighbours), `plane` the previous-plane buffer (rank 3 only, else 0).
-size_t fused_row_scratch_elems(Dims dims);
-size_t fused_plane_scratch_elems(Dims dims);
-
-/// The fused stage kernel: quantize + Lorenzo + encode + bitshuffle + mark
-/// in one pass over `data`.  Outputs exactly what DualQuantStage +
-/// BitshuffleMarkStage produce — `shuffled` (total_words u32), `byte_flags`
-/// (one per 16-byte block) and `bit_flags` (packed) — byte-for-byte, without
-/// ever materializing the i64[count] pre-quant array.  `row_scratch` /
-/// `plane_scratch` must hold fused_*_scratch_elems(dims) elements (contents
-/// need not be initialized).  V2 quantization only.  `f32_fast` opts into
-/// the margin-tested fast-quant row for the overload's dtype (the f64
-/// overload routes through the prequantize_f64fast kernel); output is
-/// bit-identical either way.
-FusedTileResult fused_quant_shuffle_mark(FloatSpan data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level);
-FusedTileResult fused_quant_shuffle_mark(std::span<const f64> data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level);
-
 // ---- tile-parallel fused pipeline ------------------------------------------
 //
 // The cuSZ+ observation applied to the host path: pre-quantization is
@@ -141,15 +101,19 @@ FusedTileResult fused_quant_shuffle_mark(std::span<const f64> data, Dims dims,
 // in 1-D, one row in 2-D, one plane in 3-D) and then predict independently
 // of every other strip.  Strips are aligned to whole 2048-code tiles, so
 // each worker owns a disjoint region of `shuffled`/`byte_flags`/`bit_flags`
-// and the assembled stream is byte-identical to the serial fused pass for
+// and the assembled stream is byte-identical to the unfused stage graph for
 // every strip count, dtype and SIMD tier (pinned by
 // tests/test_fused_parallel.cpp).
 //
-// The strip body is also a faster single-thread implementation than the
-// serial streaming pass: rows are pre-quantized in multi-row batches (one
-// dispatch per batch instead of per row) and the Lorenzo delta + sign-
-// magnitude encode run as one fused vector kernel straight into the tile
-// buffer, removing the intermediate delta-row store/reload.
+// Rows are pre-quantized in multi-row batches (one dispatch per batch
+// instead of per row) and the Lorenzo delta + sign-magnitude encode run as
+// one fused vector kernel straight into the tile buffer, so no delta row is
+// stored and reloaded.
+
+struct FusedTileResult {
+  size_t saturated = 0;  ///< residual codes clipped to +/-(2^15 - 1)
+  i64 anchor = 0;        ///< pre-quantized first value (header field)
+};
 
 struct FusedParallelPlan {
   size_t strips = 1;         ///< actual strip count (<= requested workers)
@@ -164,23 +128,18 @@ struct FusedParallelPlan {
 /// deterministic in (dims, workers) — it never depends on thread timing.
 FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
 
-/// NUMA-aware strip placement: first-touch one byte per page of each
-/// strip's slice of `bytes` from a parallel worker crew shaped like the
-/// strip loop, so Linux's first-touch policy places each slice on (or near)
-/// the node that will stream through it.  Only meaningful for a freshly
-/// allocated buffer (PooledBuffer::fresh()) — recycled pages already
-/// belong to a node — and a no-op on single-node machines, when there is
-/// only one strip, or when `bytes` is empty.  Purely a placement hint: the
-/// touched bytes are about-to-be-overwritten scratch, so output streams
-/// are identical with the pass on or off.
-void fused_first_touch_strips(MutByteSpan bytes, size_t strips);
-
-/// Tile-parallel fused stage kernel.  Same outputs as
-/// fused_quant_shuffle_mark, byte-for-byte, for every plan.  `scratch` must
-/// hold plan.scratch_elems i64 (contents need not be initialized); it is
-/// sliced per strip, so one pooled lease serves every worker.  When `sink`
-/// is non-null each strip records a "fused-strip" span (strip id, halo
-/// elems, consumed bytes) on its worker thread.
+/// The fused stage kernel: quantize + Lorenzo + encode + bitshuffle + mark
+/// in one tile-parallel pass over `data`.  Outputs exactly what
+/// DualQuantStage + BitshuffleMarkStage produce — `shuffled` (total_words
+/// u32), `byte_flags` (one per 16-byte block) and `bit_flags` (packed) —
+/// byte-for-byte for every plan, without ever materializing the i64[count]
+/// pre-quant array.  V2 quantization only.  `f32_fast` opts into the
+/// margin-tested fast-quant row for the overload's dtype; output is
+/// bit-identical either way.  `scratch` must hold plan.scratch_elems i64
+/// (contents need not be initialized); it is sliced per strip, so one
+/// pooled lease serves every worker.  When `sink` is non-null each strip
+/// records a "fused-strip" span (strip id, halo elems, consumed bytes) on
+/// its worker thread.
 FusedTileResult fused_quant_shuffle_mark_parallel(
     FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
     std::span<u32> shuffled, std::span<u8> byte_flags,

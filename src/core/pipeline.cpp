@@ -39,20 +39,11 @@ std::vector<ParamIssue> FzParams::validate() const {
   }
   if (quant != QuantVersion::V1Original && quant != QuantVersion::V2Optimized)
     issues.push_back({"quant", "unknown quantizer version"});
-  if (quant == QuantVersion::V1Original) {
-    // V1 codes are radius-shifted into u16 with code 0 reserved for
-    // outliers: the radius must leave both headroom and the reserved slot.
-    if (radius < 1 || radius > 32767)
-      issues.push_back({"radius", "V1 radius must be in [1, 32767] (codes "
-                                  "are radius-shifted 16-bit values)"});
-    // The fused host graph has no V1 (outlier-list) tile body; fail the
-    // configuration up front instead of asserting deep inside the stage.
-    if (fused_host_graph)
-      issues.push_back(
-          {"fused_host_graph",
-           "the fused host graph supports V2 quantization only; set "
-           "fused_host_graph = false to compress with V1Original"});
-  }
+  // V1 codes are radius-shifted into u16 with code 0 reserved for
+  // outliers: the radius must leave both headroom and the reserved slot.
+  if (quant == QuantVersion::V1Original && (radius < 1 || radius > 32767))
+    issues.push_back({"radius", "V1 radius must be in [1, 32767] (codes "
+                                "are radius-shifted 16-bit values)"});
   if (static_cast<u8>(simd) > static_cast<u8>(SimdDispatch::AVX2))
     issues.push_back({"simd", "unknown SIMD dispatch tier"});
   return issues;
@@ -149,16 +140,5 @@ Status status_from_current_exception() {
 }
 
 }  // namespace detail
-
-FzHeaderInfo fz_inspect(ByteSpan stream) {
-  const StreamInfo info = inspect(stream);
-  FzHeaderInfo legacy;
-  legacy.dims = info.dims;
-  legacy.abs_eb = info.abs_eb;
-  legacy.quant = info.quant;
-  legacy.count = info.count;
-  legacy.dtype_bytes = info.dtype_bytes;
-  return legacy;
-}
 
 }  // namespace fz

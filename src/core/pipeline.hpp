@@ -62,44 +62,18 @@ class ParamError : public Error {
 
 struct FzParams {
   ErrorBound eb = ErrorBound::relative(1e-3);
+  /// Also picks the host graph (core/stages.hpp): V2 compresses and
+  /// decompresses through the fused tile-parallel graph, V1 through the
+  /// unfused stage graph.
   QuantVersion quant = QuantVersion::V2Optimized;
-  /// Fuse bitshuffle with encode phase 1 (paper §3.4).  The output is
-  /// identical either way; the flag selects which cost sheet the device
-  /// model sees (fused saves one global-memory round trip).
-  bool fused_bitshuffle_mark = true;
   /// V1-only: quantization radius.
   u32 radius = 512;
-  /// Host execution: compress through the fused tile pipeline (quantize +
-  /// Lorenzo + encode + bitshuffle + mark in one cache-resident pass, V2
-  /// only; other configurations fall back to the unfused graph).  The
-  /// stream bytes are identical either way — pinned by
-  /// CodecTest.FusedGraphMatchesUnfusedByteForByte.
-  bool fused_host_graph = true;
-  /// Host execution: worker count for the tile-parallel fused pass (and the
-  /// chunk-parallel inverse-Lorenzo scans on decompress).  0 = one strip per
+  /// Host execution: worker count for the tile-parallel fused passes (and
+  /// the chunk-parallel inverse-Lorenzo scans on decompress).  0 = one strip per
   /// hardware thread.  Every worker count emits byte-identical streams —
   /// pinned by tests/test_fused_parallel.cpp — so this is purely a
   /// performance knob.
   size_t fused_workers = 0;
-  /// Host execution, ablation/reference knob: run the fused pass serially
-  /// over tiles (the pre-PR5 streaming implementation) instead of the
-  /// tile-parallel halo-recompute strips.  Output bytes are identical; the
-  /// bench harness uses this as the fused-serial baseline.
-  bool fused_serial_tiles = false;
-  /// Host execution: decompress through the fused tile-parallel decode
-  /// graph (scatter + inverse bitshuffle + sign-magnitude decode tile by
-  /// tile per strip; the shuffled-word and u16-code arrays never
-  /// materialize).  V2 streams only — V1/legacy streams are routed to the
-  /// unfused graph automatically.  Output is byte-identical either way —
-  /// pinned by tests/test_fused_decompress.cpp.
-  bool fused_decompress = true;
-  /// Host execution: before the tile-parallel passes fill a fresh (pool
-  /// miss) output lease, touch its pages in strip shape so first-touch
-  /// policy places each strip's pages on the node of the worker that will
-  /// process it.  Best-effort placement hint: a no-op on single-node boxes
-  /// (the common case) and on recycled leases, whose pages already belong
-  /// to whichever node touched them first.
-  bool numa_first_touch = true;
   /// Host execution: SIMD tier for the vectorized kernels.  Auto resolves
   /// from the FZ_SIMD env var / CPUID; every tier is bit-identical, so this
   /// never changes the stream either.
@@ -161,8 +135,7 @@ struct FzCompressed {
   std::vector<u8> bytes;
   FzStats stats;
   /// Stage cost sheets, in pipeline order: "pred-quant",
-  /// "bitshuffle-mark" (fused) or "bitshuffle"+"mark" (split),
-  /// "prefix-sum-encode".
+  /// "bitshuffle-mark-fused", "prefix-sum-encode".
   std::vector<cudasim::CostSheet> stage_costs;
 };
 
@@ -206,10 +179,9 @@ struct ChunkEntry {
 
 /// Everything a stream's header declares, fully validated: identity (dims,
 /// dtype, count), compression parameters (error bound, quant version,
-/// transform), format version, and the byte layout of every section.  The
-/// structured replacement for the loose fz_inspect output — returned by
-/// fz::inspect, consumed by the CLI `info` command and any service that
-/// routes streams without decompressing them.
+/// transform), format version, and the byte layout of every section.
+/// Returned by fz::inspect, consumed by the CLI `info` command and any
+/// service that routes streams without decompressing them.
 ///
 /// fz::inspect also accepts chunked containers: `container_version` is then
 /// nonzero, `chunks` holds the validated chunk index, the identity fields
@@ -268,21 +240,5 @@ namespace detail {
 /// never drift between entry points.
 Status status_from_current_exception();
 }  // namespace detail
-
-/// DEPRECATED legacy header peek: use fz::inspect (StreamInfo reports the
-/// same identity fields plus the full section layout and chunk index) or
-/// fz::try_inspect at a non-throwing boundary.  See docs/SERVICE.md for the
-/// migration table.  This shim survives one release for out-of-tree
-/// callers and is no longer used anywhere in-tree.
-struct FzHeaderInfo {
-  Dims dims;
-  double abs_eb;
-  QuantVersion quant;
-  size_t count;
-  unsigned dtype_bytes = 4;  ///< 4 = f32 stream, 8 = f64 stream
-};
-[[deprecated("use fz::inspect / fz::try_inspect (StreamInfo); see "
-             "docs/SERVICE.md")]]
-FzHeaderInfo fz_inspect(ByteSpan stream);
 
 }  // namespace fz

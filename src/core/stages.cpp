@@ -13,6 +13,7 @@
 #include "core/lorenzo.hpp"
 #include "substrate/bitio.hpp"
 #include "substrate/scan.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fz {
 
@@ -51,8 +52,6 @@ void PipelineContext::begin_decompress(BufferPool* p,
   params.f32_fast_quant = run_params.f32_fast_quant;
   params.f64_fast_quant = run_params.f64_fast_quant;
   params.fused_workers = run_params.fused_workers;
-  params.fused_decompress = run_params.fused_decompress;
-  params.numa_first_touch = run_params.numa_first_touch;
   dims = {};
   count = n;
   dtype = run_dtype;
@@ -83,7 +82,18 @@ void PipelineContext::release_scratch() {
   scan_scratch.release();
   blocks.release();
   row_scratch.release();
-  plane_scratch.release();
+}
+
+void run_stages(const StageGraph& graph, PipelineContext& ctx) {
+  struct ScratchGuard {
+    PipelineContext& ctx;
+    ~ScratchGuard() { ctx.release_scratch(); }
+  } guard{ctx};
+  for (const auto& stage : graph) {
+    telemetry::Span span(ctx.sink, stage->name());
+    stage->run(ctx);
+    span.arg("bytes_in", static_cast<double>(ctx.stats.input_bytes));
+  }
 }
 
 namespace {
@@ -229,9 +239,9 @@ class BitshuffleMarkStage final : public Stage {
 
 /// The fused host pipeline (paper §3.4's fusion idea applied to the whole
 /// compress hot path): pre-quantize + Lorenzo + residual encode + tile
-/// bitshuffle + zero-block mark in one pass over the input, tile by tile.
+/// bitshuffle + zero-block mark in one tile-parallel pass over the input.
 /// Replaces DualQuantStage + BitshuffleMarkStage; the i64 pre-quant array
-/// never exists, only O(row)/O(plane) rolling scratch.  V2 only.
+/// never exists, only O(row)/O(plane) rolling scratch per strip.  V2 only.
 class FusedQuantShuffleMarkStage final : public Stage {
  public:
   const char* name() const override { return "fused-quant-shuffle-mark"; }
@@ -244,54 +254,23 @@ class FusedQuantShuffleMarkStage final : public Stage {
     ctx.byte_flags = ctx.pool->acquire(ctx.total_blocks(), false);
     ctx.bit_flags = ctx.pool->acquire(div_ceil(ctx.total_blocks(), 8), false);
 
-    FusedTileResult r;
-    if (ctx.params.fused_serial_tiles) {
-      // Ablation / reference path: the pre-PR5 serial streaming pass.
-      ctx.row_scratch = ctx.pool->acquire(
-          fused_row_scratch_elems(ctx.dims) * sizeof(i64), false);
-      const size_t plane_elems = fused_plane_scratch_elems(ctx.dims);
-      std::span<i64> plane;
-      if (plane_elems != 0) {
-        ctx.plane_scratch =
-            ctx.pool->acquire(plane_elems * sizeof(i64), false);
-        plane = ctx.plane_scratch.as<i64>();
-      }
-      if (ctx.dtype == sizeof(f64)) {
-        r = fused_quant_shuffle_mark(
-            source<f64>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f64_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plane, level);
-      } else {
-        r = fused_quant_shuffle_mark(
-            source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plane, level);
-      }
-    } else {
-      // Tile-parallel strips with halo re-prequantization: one pooled lease
-      // sliced per strip, byte-identical to the serial pass for every plan.
-      const FusedParallelPlan plan =
-          fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
-      // Best-effort NUMA placement: touch each strip's output slice in
-      // strip shape while the lease's pages are still uncommitted.
-      if (ctx.params.numa_first_touch && ctx.shuffled.fresh())
-        fused_first_touch_strips(ctx.shuffled.bytes(), plan.strips);
-      ctx.row_scratch =
-          ctx.pool->acquire(plan.scratch_elems * sizeof(i64), false);
-      if (ctx.dtype == sizeof(f64)) {
-        r = fused_quant_shuffle_mark_parallel(
-            source<f64>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f64_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan, level,
-            ctx.sink);
-      } else {
-        r = fused_quant_shuffle_mark_parallel(
-            source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan, level,
-            ctx.sink);
-      }
-    }
+    // Strips slice one pooled scratch lease; every plan emits the same bytes.
+    const FusedParallelPlan plan =
+        fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
+    ctx.row_scratch =
+        ctx.pool->acquire(plan.scratch_elems * sizeof(i64), false);
+    const FusedTileResult r =
+        ctx.dtype == sizeof(f64)
+            ? fused_quant_shuffle_mark_parallel(
+                  source<f64>(ctx), ctx.dims, ctx.abs_eb,
+                  ctx.params.f64_fast_quant, ctx.shuffled.as<u32>(),
+                  ctx.byte_flags.as<u8>(), ctx.bit_flags.as<u8>(),
+                  ctx.row_scratch.as<i64>(), plan, level, ctx.sink)
+            : fused_quant_shuffle_mark_parallel(
+                  source<f32>(ctx), ctx.dims, ctx.abs_eb,
+                  ctx.params.f32_fast_quant, ctx.shuffled.as<u32>(),
+                  ctx.byte_flags.as<u8>(), ctx.bit_flags.as<u8>(),
+                  ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
     ctx.anchor = r.anchor;
     ctx.stats.saturated = r.saturated;
     ctx.radius = 0;
@@ -516,16 +495,11 @@ class FusedDecodeStage final : public Stage {
                          ctx.scan_scratch.as<u32>());
 
     ctx.pq = ctx.pool->acquire(ctx.count * sizeof(i64), false);
-    const FusedParallelPlan plan =
-        fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
-    // Best-effort NUMA placement: touch each strip's output slice in strip
-    // shape while the lease's pages are still uncommitted.
-    if (ctx.params.numa_first_touch && ctx.pq.fresh())
-      fused_first_touch_strips(ctx.pq.bytes(), plan.strips);
     const std::span<i64> pq = ctx.pq.as<i64>();
-    fused_scatter_decode_parallel(ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
-                                  ctx.blocks.as<u32>(), pq, plan,
-                                  resolve_simd(ctx.params.simd), ctx.sink);
+    fused_scatter_decode_parallel(
+        ctx.flags32.as<u32>(), ctx.offsets.as<u32>(), ctx.blocks.as<u32>(), pq,
+        fused_parallel_plan(ctx.dims, ctx.params.fused_workers),
+        resolve_simd(ctx.params.simd), ctx.sink);
     pq[0] += ctx.header.anchor;  // restore the first value's residual
     lorenzo_inverse(pq, ctx.dims, pq, ctx.params.fused_workers);
   }

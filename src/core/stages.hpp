@@ -1,4 +1,4 @@
-// The FZ stage graph (compression pipeline decomposed into explicit,
+// The FZ stage graphs (the compression pipeline decomposed into explicit,
 // swappable stages).
 //
 // Each stage is a discrete object with a name and a run() method over a
@@ -7,20 +7,26 @@
 // from a BufferPool so steady-state runs never allocate), and the
 // data-dependent results the next stage or the stream assembly needs.
 //
-// Compression graph (paper Fig. 1):
-//   ResolveTransformStage   validate input, resolve eb, optional log x-form
-//   DualQuantStage          pre-quantize + Lorenzo + residual codes (3.2)
-//   BitshuffleMarkStage     tile bitshuffle + block flags (3.3/3.4 phase 1)
-//   EncodeStage             prefix-sum offsets + block compaction (3.4)
-//   AssembleStage           header + sections -> output stream
+// One graph per direction and quantizer version.  V2 (the default) runs the
+// fused graphs:
+//   ResolveTransformStage       validate input, resolve eb, optional log x-form
+//   FusedQuantShuffleMarkStage  pre-quantize + Lorenzo + residual codes + tile
+//                               bitshuffle + block flags in one tile-parallel
+//                               pass (3.2-3.4 phase 1)
+//   EncodeStage                 prefix-sum offsets + block compaction (3.4)
+//   AssembleStage               header + sections -> output stream
+// and, to decompress:
+//   ParseHeaderStage            validate header, slice stream sections
+//   FusedDecodeStage            scatter + inverse bitshuffle + decode per
+//                               tile, then inverse Lorenzo
+//   ReconstructStage            dequantize + inverse transform -> output
 //
-// Decompression mirrors it in reverse:
-//   ParseHeaderStage        validate header, slice stream sections
-//   ScatterUnshuffleStage   scatter nonzero blocks + inverse bitshuffle
-//   InverseQuantStage       decode residuals + inverse Lorenzo
-//   ReconstructStage        dequantize + inverse transform -> output
+// V1 runs the unfused graphs, which split the fused stages into
+// DualQuantStage + BitshuffleMarkStage and ScatterUnshuffleStage +
+// InverseQuantStage (paper Fig. 1).  They accept V2 too, and are the
+// reference every fused pass is tested against.
 //
-// fz::Codec (core/codec.hpp) owns a pool plus both graphs and is the
+// fz::Codec (core/codec.hpp) owns a pool plus the graphs and is the
 // intended way to run them; fz_compress/fz_decompress are thin one-shot
 // wrappers.  See docs/ARCHITECTURE.md.
 #pragma once
@@ -75,8 +81,7 @@ struct PipelineContext {
   PooledBuffer offsets;     ///< u32[total_blocks()]: scan output
   PooledBuffer scan_scratch;  ///< u32: blocked-scan chunk totals/offsets
   PooledBuffer blocks;      ///< u32: compacted blocks (worst case sized)
-  PooledBuffer row_scratch;    ///< i64: fused pipeline rolling rows
-  PooledBuffer plane_scratch;  ///< i64: fused pipeline previous plane (3-D)
+  PooledBuffer row_scratch;  ///< i64: fused pass per-strip rolling rows
 
   // ---- data-dependent results ---------------------------------------------
   i64 anchor = 0;
@@ -107,9 +112,8 @@ struct PipelineContext {
                       size_t n, u8 run_dtype, const void* data,
                       std::vector<u8>* out);
   /// Prepare the context for a decompression run.  `run_params` carries
-  /// only the host execution knobs (simd, fast-quant, fused_workers,
-  /// fused_decompress, numa_first_touch); everything stream-related comes
-  /// from the parsed header.
+  /// only the host execution knobs (simd, fast-quant, fused_workers);
+  /// everything stream-related comes from the parsed header.
   void begin_decompress(BufferPool* p, const FzParams& run_params,
                         ByteSpan run_stream, size_t n, u8 run_dtype,
                         void* out);
@@ -128,23 +132,22 @@ class Stage {
 
 using StageGraph = std::vector<std::unique_ptr<Stage>>;
 
-/// Build the compression / decompression stage graphs (see file comment).
+/// The unfused graphs: V1's production graphs and the V2 reference.
 StageGraph make_compress_stages();
 StageGraph make_decompress_stages();
 
-/// The fused-host compression graph: DualQuantStage + BitshuffleMarkStage
-/// are replaced by one FusedQuantShuffleMarkStage that streams the input
-/// through cache-resident tiles (core/kernels_simd.hpp), never
-/// materializing the i64 pre-quant array.  V2 quantization only; the
-/// output stream is byte-identical to make_compress_stages().
+/// The fused graphs, V2 only: compress never materializes the i64
+/// pre-quant array (core/kernels_simd.hpp), decompress never the shuffled
+/// words or the u16 codes (core/kernels_decode.hpp).  Byte-identical to
+/// the unfused graphs.
 StageGraph make_compress_stages_fused();
-
-/// The fused decompress graph: ScatterUnshuffleStage + InverseQuantStage
-/// are replaced by one FusedDecodeStage that scatters, inverse-bitshuffles
-/// and decodes tile by tile per strip (core/kernels_decode.hpp) — the
-/// shuffled-word and u16-code arrays never materialize.  V2 streams only
-/// (fz::Codec peeks the header and routes V1 streams to the unfused
-/// graph); the output is byte-identical to make_decompress_stages().
 StageGraph make_decompress_stages_fused();
+
+/// Run `graph` over `ctx` (prepared by begin_compress/begin_decompress),
+/// one telemetry span per stage into ctx.sink, then return every scratch
+/// lease to the pool — also when a stage throws.  fz::Codec runs its graphs
+/// through here, and so does any caller that drives the unfused reference
+/// graph on V2 input directly.
+void run_stages(const StageGraph& graph, PipelineContext& ctx);
 
 }  // namespace fz

@@ -11,6 +11,7 @@
 #include "core/codec.hpp"
 #include "datasets/generators.hpp"
 #include "metrics/metrics.hpp"
+#include "reference_graph.hpp"
 
 // Program-wide allocation counter for the steady-state test: every operator
 // new variant is replaced, including the aligned array forms AlignedBuffer
@@ -157,16 +158,18 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   EXPECT_GE(g_alloc_count.load(), before);
 #endif
 
-  // The loop above rides the fused decompress graph (the default); the
-  // classic staged graph must stay allocation-free in steady state too.
-  FzParams unfused = params;
-  unfused.fused_decompress = false;
-  Codec classic(unfused);
+  // The loop above rides the fused decompress graph (V2); a V1 stream runs
+  // the classic staged graph, which must stay allocation-free too.
+  FzParams v1 = params;
+  v1.quant = QuantVersion::V1Original;
+  Codec classic(v1);
+  const FzCompressed c1 = classic.compress(f.values(), f.dims);
   for (int round = 0; round < 3; ++round)  // warm the classic scratch set
-    classic.decompress_into(c.bytes, out);
+    classic.decompress_into(c1.bytes, out);
   const auto classic_warm = classic.pool().stats();
   const size_t classic_before = g_alloc_count.load();
-  for (int round = 0; round < 3; ++round) classic.decompress_into(c.bytes, out);
+  for (int round = 0; round < 3; ++round)
+    classic.decompress_into(c1.bytes, out);
   const auto classic_steady = classic.pool().stats();
   EXPECT_EQ(classic_steady.misses, classic_warm.misses)
       << "classic decompress steady state hit the heap";
@@ -176,7 +179,7 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
 #else
   EXPECT_GE(g_alloc_count.load(), classic_before);
 #endif
-  EXPECT_TRUE(error_bounded(f.values(), out, c.stats.abs_eb));
+  EXPECT_TRUE(error_bounded(f.values(), out, c1.stats.abs_eb));
 }
 
 TEST(Codec, SteadyStateHoldsForV1AndPointwiseAndF64) {
@@ -185,7 +188,6 @@ TEST(Codec, SteadyStateHoldsForV1AndPointwiseAndF64) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.eb = ErrorBound::absolute(1e-2);
   FzParams pw;
   pw.eb = ErrorBound::pointwise_relative(1e-3);
@@ -275,60 +277,49 @@ TEST(ChunkedParallel, WorkerCountAboveChunkCountIsFine) {
 }
 
 TEST(Codec, FusedGraphMatchesUnfusedByteForByte) {
-  // ISSUE PR3: the fused tile pipeline must emit *exactly* the bytes the
-  // unfused five-stage graph emits, for every rank, dtype and SIMD tier.
+  // The fused tile pipeline must emit *exactly* the bytes the unfused
+  // reference graph emits, for every rank, dtype and SIMD tier.
   const Dims cases[] = {Dims{4113}, Dims{129, 65}, Dims{24, 17, 9}};
   for (const Dims dims : cases) {
     const Field f = noisy_field(dims, 5 + dims.count());
     const std::vector<f64> wide(f.data.begin(), f.data.end());
     for (const SimdDispatch d :
-         {SimdDispatch::Auto, SimdDispatch::Scalar, SimdDispatch::SSE2,
-          SimdDispatch::AVX2}) {
-      FzParams unfused;
-      unfused.eb = ErrorBound::relative(1e-3);
-      unfused.fused_host_graph = false;
-      unfused.simd = d;
-      FzParams fused = unfused;
-      fused.fused_host_graph = true;
-
-      Codec cu(unfused), cf(fused);
-      const auto u32s = cu.compress(f.values(), f.dims);
-      const auto f32s = cf.compress(f.values(), f.dims);
-      ASSERT_EQ(u32s.bytes, f32s.bytes) << "f32 dims " << dims.x;
-      EXPECT_EQ(u32s.stats.saturated, f32s.stats.saturated);
-
-      const auto u64s = cu.compress(std::span<const f64>{wide}, f.dims);
-      const auto f64s = cf.compress(std::span<const f64>{wide}, f.dims);
-      ASSERT_EQ(u64s.bytes, f64s.bytes) << "f64 dims " << dims.x;
+         {SimdDispatch::Auto, SimdDispatch::Scalar, SimdDispatch::AVX2}) {
+      FzParams params;
+      params.eb = ErrorBound::relative(1e-3);
+      params.simd = d;
+      Codec codec(params);
+      ASSERT_EQ(codec.compress(f.values(), f.dims).bytes,
+                reference_compress(f.values(), f.dims, params))
+          << "f32 dims " << dims.x;
+      const std::span<const f64> w{wide};
+      ASSERT_EQ(codec.compress(w, f.dims).bytes,
+                reference_compress(w, f.dims, params))
+          << "f64 dims " << dims.x;
     }
   }
 }
 
-TEST(Codec, FusedGraphMatchesUnfusedWithTransformsAndV1Rejected) {
-  // Log transform feeds the fused stage from the transformed buffer; a V1
-  // quantization request with the fused graph is a configuration error
-  // caught at validate() time (the fused tile body is V2-only).
+TEST(Codec, FusedGraphMatchesUnfusedWithLogTransform) {
+  // The log transform feeds the fused stage from the transformed buffer.
   const Field f = noisy_field(Dims{96, 40}, 41);
-  FzParams base;
-  base.eb = ErrorBound::pointwise_relative(1e-3);
-  FzParams fused = base;
-  fused.fused_host_graph = true;
-  FzParams unfused = base;
-  unfused.fused_host_graph = false;
-  Codec cf(fused), cu(unfused);
-  EXPECT_EQ(cf.compress(f.values(), f.dims).bytes,
-            cu.compress(f.values(), f.dims).bytes);
+  FzParams params;
+  params.eb = ErrorBound::pointwise_relative(1e-3);
+  Codec codec(params);
+  EXPECT_EQ(codec.compress(f.values(), f.dims).bytes,
+            reference_compress(f.values(), f.dims, params));
+}
 
-  FzParams v1 = fused;
-  v1.eb = ErrorBound::relative(1e-3);
-  v1.quant = QuantVersion::V1Original;
-  EXPECT_THROW(Codec{v1}, ParamError);
-  FzParams v1u = v1;
-  v1u.fused_host_graph = false;
-  Codec cv1u(v1u);
-  const auto a = cv1u.compress(f.values(), f.dims);
-  const FzDecompressed rt = cv1u.decompress(a.bytes);
-  EXPECT_TRUE(error_bounded(f.values(), rt.data, a.stats.abs_eb));
+TEST(Codec, V1NeedsNoCompanionSetting) {
+  // V1 with every other field at its default picks the unfused graph by
+  // itself: it constructs, compresses to the reference graph's bytes and
+  // round-trips within the bound.
+  const Field f = noisy_field(Dims{96, 40}, 41);
+  Codec codec(FzParams{.quant = QuantVersion::V1Original});
+  const FzCompressed c = codec.compress(f.values(), f.dims);
+  EXPECT_EQ(c.bytes, reference_compress(f.values(), f.dims, codec.params()));
+  const FzDecompressed rt = codec.decompress(c.bytes);
+  EXPECT_TRUE(error_bounded(f.values(), rt.data, c.stats.abs_eb));
 }
 
 TEST(Codec, F32FastQuantKeepsStreamsIdenticalAndBounded) {

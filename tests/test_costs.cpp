@@ -24,10 +24,9 @@ FzStats stats_for(size_t count, double nz_fraction, size_t outliers = 0) {
 
 TEST(CostModel, PipelineHasThreeStagesFusedFourSplit) {
   const FzStats st = stats_for(1 << 20, 0.3);
-  FzParams fused, split;
-  split.fused_bitshuffle_mark = false;
-  EXPECT_EQ(fz_compression_costs(st, fused).size(), 3u);
-  EXPECT_EQ(fz_compression_costs(st, split).size(), 4u);
+  const FzParams params;
+  EXPECT_EQ(fz_compression_costs(st, params).size(), 3u);
+  EXPECT_EQ(fz_compression_costs(st, params, /*split=*/true).size(), 4u);
 }
 
 TEST(CostModel, CostsScaleLinearlyWithSize) {
@@ -48,21 +47,19 @@ TEST(CostModel, V1WritesMoreThanV2) {
   const FzStats st = stats_for(1 << 20, 0.3, /*outliers=*/1000);
   FzParams v1, v2;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   EXPECT_GT(fz_compression_costs(st, v1)[0].global_bytes(),
             fz_compression_costs(st, v2)[0].global_bytes());
 }
 
 TEST(CostModel, FusionSavesOneGlobalRoundTrip) {
   const FzStats st = stats_for(1 << 20, 0.3);
-  FzParams fused, split;
-  split.fused_bitshuffle_mark = false;
+  const FzParams params;
   u64 fused_bytes = 0, split_bytes = 0, fused_launches = 0, split_launches = 0;
-  for (const auto& c : fz_compression_costs(st, fused)) {
+  for (const auto& c : fz_compression_costs(st, params)) {
     fused_bytes += c.global_bytes();
     fused_launches += c.kernel_launches;
   }
-  for (const auto& c : fz_compression_costs(st, split)) {
+  for (const auto& c : fz_compression_costs(st, params, /*split=*/true)) {
     split_bytes += c.global_bytes();
     split_launches += c.kernel_launches;
   }

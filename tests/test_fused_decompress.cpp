@@ -1,7 +1,7 @@
-// Schedule independence of the fused tile-parallel decompress pipeline
-// (ISSUE PR10): the cache-resident scatter + inverse-bitshuffle +
-// sign-magnitude decode pass must reconstruct byte-identical fields to the
-// classic staged graph for EVERY worker count, SIMD tier, dtype and rank —
+// Schedule independence of the fused tile-parallel decompress pipeline:
+// the cache-resident scatter + inverse-bitshuffle + sign-magnitude decode
+// pass must reconstruct byte-identical fields to the classic staged
+// reference graph for EVERY worker count, SIMD tier, dtype and rank —
 // and the 3-D z-carry chunked inverse scans must be exact for every chunk
 // split (i64 adds are associative mod 2^64, so the partition never shows).
 // Also pins the per-strip telemetry spans, legacy-stream routing, the
@@ -30,6 +30,7 @@
 #include "core/lorenzo.hpp"
 #include "datasets/field.hpp"
 #include "reader/reader.hpp"
+#include "reference_graph.hpp"
 #include "service/service.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -55,22 +56,10 @@
 namespace fz {
 namespace {
 
-SimdDispatch dispatch_for(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::AVX2:
-      return SimdDispatch::AVX2;
-    case SimdLevel::SSE2:
-      return SimdDispatch::SSE2;
-    default:
-      return SimdDispatch::Scalar;
-  }
-}
-
-std::vector<SimdLevel> levels_under_test() {
-  std::vector<SimdLevel> levels{SimdLevel::Scalar};
-  if (simd_supported() >= SimdLevel::SSE2) levels.push_back(SimdLevel::SSE2);
-  if (simd_supported() >= SimdLevel::AVX2) levels.push_back(SimdLevel::AVX2);
-  return levels;
+std::vector<SimdDispatch> tiers_under_test() {
+  std::vector<SimdDispatch> tiers{SimdDispatch::Scalar};
+  if (simd_supported() >= SimdLevel::AVX2) tiers.push_back(SimdDispatch::AVX2);
+  return tiers;
 }
 
 // Multi-tile shapes for every rank (same set the compress-side sweep in
@@ -110,66 +99,56 @@ void expect_bits_equal(std::span<const T> a, std::span<const T> b,
 // ---- fused vs classic graph: byte identity across every schedule ----------
 
 template <typename T>
-void sweep_dtype(SimdLevel level, Dims dims) {
+void sweep_dtype(SimdDispatch tier, Dims dims) {
   const std::vector<T> data = field<T>(dims, dims.count());
   FzParams cp;
   cp.eb = ErrorBound::absolute(1e-3);
-  cp.simd = dispatch_for(level);
+  cp.simd = tier;
   cp.fused_workers = 1;
   Codec compressor(cp);
   const FzCompressed c =
       compressor.compress(std::span<const T>{data}, dims);
 
-  // Reference: the classic staged graph (scatter-unshuffle / inverse-quant),
-  // single worker.
-  FzParams ref = cp;
-  ref.fused_decompress = false;
-  Codec ref_codec(ref);
-  std::vector<T> want(data.size());
-  ASSERT_EQ(ref_codec.decompress_into(c.bytes, want), dims);
+  // Reference: the classic staged graph (scatter-unshuffle / inverse-quant).
+  const std::vector<T> want = reference_decompress<T>(c.bytes, data.size());
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     FzParams dp = cp;
     dp.fused_workers = workers;
-    dp.fused_decompress = true;
     Codec codec(dp);
     std::vector<T> got(data.size(), T(-1));
     ASSERT_EQ(codec.decompress_into(c.bytes, got), dims);
     expect_bits_equal<T>(got, want,
-                         dims.to_string() + " level " +
-                             std::to_string(static_cast<int>(level)) +
+                         dims.to_string() + " tier " +
+                             std::to_string(static_cast<int>(tier)) +
                              " workers " + std::to_string(workers));
   }
 }
 
 TEST(FusedDecompress, MatchesUnfusedForEveryScheduleDtypeAndRank) {
-  for (const SimdLevel level : levels_under_test())
+  for (const SimdDispatch tier : tiers_under_test())
     for (const Dims dims : kDims) {
-      sweep_dtype<f32>(level, dims);
-      sweep_dtype<f64>(level, dims);
+      sweep_dtype<f32>(tier, dims);
+      sweep_dtype<f64>(tier, dims);
     }
 }
 
 TEST(FusedDecompress, LegacyV1StreamsRouteToTheClassicGraph) {
-  // The fused pass decodes V2 sign-magnitude tiles only; a V1 stream must
-  // transparently ride the classic graph even with the knob on.
+  // The fused pass decodes V2 sign-magnitude tiles only; a default Codec
+  // must transparently decode a V1 stream through the classic graph.
   const Dims dims{60, 50};
   const std::vector<f32> data = field<f32>(dims, 7);
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.eb = ErrorBound::absolute(1e-2);
   Codec compressor(v1);
   const FzCompressed c = compressor.compress(std::span<const f32>{data}, dims);
 
-  FzParams on;   // defaults: fused_decompress = true
-  FzParams off;
-  off.fused_decompress = false;
-  Codec codec_on(on), codec_off(off);
-  std::vector<f32> a(data.size()), b(data.size());
-  ASSERT_EQ(codec_on.decompress_into(c.bytes, a), dims);
-  ASSERT_EQ(codec_off.decompress_into(c.bytes, b), dims);
-  expect_bits_equal<f32>(a, b, "v1 stream");
+  Codec codec;
+  std::vector<f32> got(data.size());
+  ASSERT_EQ(codec.decompress_into(c.bytes, got), dims);
+  expect_bits_equal<f32>(got, reference_decompress<f32>(c.bytes, data.size()),
+                         "v1 stream");
 }
 
 // ---- 3-D z-carry chunked scans --------------------------------------------
@@ -345,11 +324,8 @@ TEST(SimFusedQuant, SplitPlaneHaloKeepsCooperativeStagingWithinBudget) {
   const size_t blocks = words / kBlockWords;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
   std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-      host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  const FusedTileResult host = fused_one_worker(
+      f.values(), f.dims, abs_eb, host_shuffled, host_byte, host_bit);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
@@ -377,11 +353,8 @@ TEST(SimFusedQuant, FallsBackOnlyWhenSplitWindowsBlowTheBudgetToo) {
   const size_t blocks = words / kBlockWords;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
   std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, 0.01, /*f32_fast=*/false, host_shuffled, host_byte,
-      host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  const FusedTileResult host = fused_one_worker(
+      f.values(), f.dims, 0.01, host_shuffled, host_byte, host_bit);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);

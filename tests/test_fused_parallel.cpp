@@ -1,12 +1,11 @@
-// Schedule independence of the tile-parallel fused pipeline (ISSUE PR5):
-// the strip-parallel kernel must produce byte-identical output to the
-// serial fused pass for EVERY worker count, dtype, SIMD tier and rank —
-// the halo re-prequantization makes each strip's stencil inputs pointwise
-// recomputations of the exact values the serial pass carried, so the
+// Schedule independence of the tile-parallel fused pipeline: the
+// strip-parallel kernel must produce byte-identical output to the unfused
+// scalar reference for EVERY worker count, dtype, SIMD tier and rank — the
+// halo re-prequantization makes each strip's stencil inputs pointwise
+// recomputations of the exact values its predecessor strip computed, so the
 // partition never shows in the stream.  Also pins the plan's determinism,
-// the per-strip telemetry spans, and Codec-level stream equality across
-// fused_workers settings (including the fused_serial_tiles reference
-// path).
+// the per-strip telemetry spans, and Codec-level stream equality with the
+// unfused reference graph across fused_workers settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +21,7 @@
 #include "core/bitshuffle.hpp"
 #include "core/codec.hpp"
 #include "core/kernels_simd.hpp"
+#include "reference_graph.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fz {
@@ -29,7 +29,6 @@ namespace {
 
 std::vector<SimdLevel> levels_under_test() {
   std::vector<SimdLevel> levels{SimdLevel::Scalar};
-  if (simd_supported() >= SimdLevel::SSE2) levels.push_back(SimdLevel::SSE2);
   if (simd_supported() >= SimdLevel::AVX2) levels.push_back(SimdLevel::AVX2);
   return levels;
 }
@@ -55,29 +54,6 @@ std::vector<T> field(Dims dims, u64 seed) {
   return v;
 }
 
-struct FusedOut {
-  std::vector<u32> shuffled;
-  std::vector<u8> byte_flags;
-  std::vector<u8> bit_flags;
-  FusedTileResult res;
-};
-
-template <typename T>
-FusedOut run_serial(std::span<const T> data, Dims dims, double eb,
-                    SimdLevel level) {
-  const size_t words = round_up(data.size(), kCodesPerTile) / 2;
-  FusedOut o;
-  o.shuffled.assign(words, 0xdeadbeefu);
-  o.byte_flags.assign(words / kBlockWords, 0xcd);
-  o.bit_flags.assign(div_ceil(o.byte_flags.size(), 8), 0xcd);
-  std::vector<i64> row(fused_row_scratch_elems(dims), -1);
-  std::vector<i64> plane(fused_plane_scratch_elems(dims), -1);
-  o.res = fused_quant_shuffle_mark(data, dims, eb, false, o.shuffled,
-                                   o.byte_flags, o.bit_flags, row, plane,
-                                   level);
-  return o;
-}
-
 template <typename T>
 FusedOut run_parallel(std::span<const T> data, Dims dims, double eb,
                       size_t workers, SimdLevel level,
@@ -99,8 +75,8 @@ template <typename T>
 void check_schedule_independent(Dims dims, double eb, u64 seed) {
   const auto data = field<T>(dims, seed);
   const std::span<const T> span{data};
+  const FusedOut want = reference_fused(span, dims, eb);
   for (const SimdLevel level : levels_under_test()) {
-    const FusedOut want = run_serial(span, dims, eb, level);
     for (const size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
       const FusedOut got = run_parallel(span, dims, eb, workers, level);
       const std::string where = std::string(simd_level_name(level)) + " dims " +
@@ -117,12 +93,12 @@ void check_schedule_independent(Dims dims, double eb, u64 seed) {
   }
 }
 
-TEST(FusedParallel, ByteIdenticalToSerialF32) {
+TEST(FusedParallel, ByteIdenticalToReferenceF32) {
   for (const Dims dims : kDims)
     check_schedule_independent<f32>(dims, 1e-3, 101 + dims.count());
 }
 
-TEST(FusedParallel, ByteIdenticalToSerialF64) {
+TEST(FusedParallel, ByteIdenticalToReferenceF64) {
   for (const Dims dims : kDims)
     check_schedule_independent<f64>(dims, 1e-3, 301 + dims.count());
 }
@@ -136,10 +112,10 @@ TEST(FusedParallel, ByteIdenticalWithSaturationAndCoarseBound) {
   data[9000] = -3.9e9f;
   data[dims.count() - 1] = 2.5e9f;
   const std::span<const f32> span{data};
+  const FusedOut want = reference_fused(span, dims, 20.0);
+  EXPECT_GT(want.res.saturated, 0u);
   for (const SimdLevel level : levels_under_test()) {
-    const FusedOut want = run_serial(span, dims, 20.0, level);
-    EXPECT_GT(want.res.saturated, 0u);
-    for (const size_t workers : {size_t{2}, size_t{8}}) {
+    for (const size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
       const FusedOut got = run_parallel(span, dims, 20.0, workers, level);
       ASSERT_EQ(want.shuffled, got.shuffled) << simd_level_name(level);
       EXPECT_EQ(want.res.saturated, got.res.saturated);
@@ -222,19 +198,16 @@ TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
   const Dims dims{64, 256};
   const auto data = field<f32>(dims, 91);
 
-  auto compress_with = [&](size_t workers, bool serial_tiles) {
-    FzParams params;
-    params.eb = ErrorBound::absolute(1e-3);
-    params.fused_workers = workers;
-    params.fused_serial_tiles = serial_tiles;
-    Codec codec(params);
-    return codec.compress(data, dims).bytes;
-  };
-
-  const std::vector<u8> want = compress_with(1, /*serial_tiles=*/true);
+  FzParams params;
+  params.eb = ErrorBound::absolute(1e-3);
+  const std::vector<u8> want =
+      reference_compress(std::span<const f32>{data}, dims, params);
   for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                               size_t{8}})
-    EXPECT_EQ(want, compress_with(workers, false)) << "workers " << workers;
+                               size_t{8}}) {
+    params.fused_workers = workers;
+    EXPECT_EQ(want, Codec(params).compress(data, dims).bytes)
+        << "workers " << workers;
+  }
 
   // Decompression's chunked scans must also be schedule-independent: the
   // same stream reconstructs to identical bytes for every worker count.
@@ -262,18 +235,15 @@ TEST(FusedParallel, F64CodecStreamsIdenticalAcrossWorkerSettings) {
   const Dims dims{24, 20, 20};
   const auto data = field<f64>(dims, 13);
 
-  auto compress_with = [&](size_t workers, bool serial_tiles) {
-    FzParams params;
-    params.eb = ErrorBound::absolute(1e-4);
+  FzParams params;
+  params.eb = ErrorBound::absolute(1e-4);
+  const std::vector<u8> want =
+      reference_compress(std::span<const f64>{data}, dims, params);
+  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
     params.fused_workers = workers;
-    params.fused_serial_tiles = serial_tiles;
-    Codec codec(params);
-    return codec.compress(data, dims).bytes;
-  };
-
-  const std::vector<u8> want = compress_with(1, /*serial_tiles=*/true);
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}})
-    EXPECT_EQ(want, compress_with(workers, false)) << "workers " << workers;
+    EXPECT_EQ(want, Codec(params).compress(data, dims).bytes)
+        << "workers " << workers;
+  }
 }
 
 }  // namespace

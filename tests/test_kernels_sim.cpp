@@ -18,6 +18,7 @@
 #include "substrate/huffman.hpp"
 #include "datasets/field.hpp"
 #include "metrics/metrics.hpp"
+#include "reference_graph.hpp"
 
 namespace fz {
 namespace {
@@ -201,11 +202,8 @@ TEST(SimFusedQuant, MatchesHostFusedStageExactly) {
     const size_t blocks = words / kBlockWords;
     std::vector<u32> host_shuffled(words), sim_shuffled(words);
     std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-    std::vector<i64> row_scratch(fused_row_scratch_elems(dims));
-    std::vector<i64> plane_scratch(fused_plane_scratch_elems(dims));
-    const FusedTileResult host = fused_quant_shuffle_mark(
-        f.values(), dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-        host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+    const FusedTileResult host = fused_one_worker(
+        f.values(), dims, abs_eb, host_shuffled, host_byte, host_bit);
 
     std::vector<u8> sim_byte, sim_bit;
     std::vector<i64> anchor(1, -1);
@@ -238,11 +236,8 @@ TEST(SimFusedQuant, ClipsSaturatedResidualsLikeTheHost) {
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
   std::vector<u8> host_byte(words / kBlockWords), host_bit(host_byte.size() / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-      host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  const FusedTileResult host = fused_one_worker(
+      f.values(), f.dims, abs_eb, host_shuffled, host_byte, host_bit);
   ASSERT_GT(host.saturated, 0u);  // the test is vacuous otherwise
 
   std::vector<u8> sim_byte, sim_bit;
@@ -272,11 +267,8 @@ TEST(SimFusedQuant, StripsKernelMatchesHostAndSinglePassExactly) {
     const size_t blocks = words / kBlockWords;
     std::vector<u32> host_shuffled(words), sim_shuffled(words);
     std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-    std::vector<i64> row_scratch(fused_row_scratch_elems(dims));
-    std::vector<i64> plane_scratch(fused_plane_scratch_elems(dims));
-    const FusedTileResult host = fused_quant_shuffle_mark(
-        f.values(), dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-        host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+    const FusedTileResult host = fused_one_worker(
+        f.values(), dims, abs_eb, host_shuffled, host_byte, host_bit);
 
     std::vector<u8> sim_byte, sim_bit;
     std::vector<i64> anchor(1, -1);
@@ -329,11 +321,8 @@ TEST(SimFusedQuant, StripsKernelSplitsPlaneHaloWhenItExceedsBudget) {
   const size_t blocks = words / kBlockWords;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
   std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, 0.01, /*f32_fast=*/false, host_shuffled, host_byte,
-      host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  const FusedTileResult host = fused_one_worker(
+      f.values(), f.dims, 0.01, host_shuffled, host_byte, host_bit);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);

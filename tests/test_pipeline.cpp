@@ -63,7 +63,6 @@ TEST_P(PipelineProperty, V1QuantAlsoRoundTrips) {
   FzParams params;
   params.eb = ErrorBound::relative(rel_eb);
   params.quant = QuantVersion::V1Original;
-  params.fused_host_graph = false;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzDecompressed d = fz_decompress(c.bytes);
   EXPECT_TRUE(error_bounded(f.values(), d.data, c.stats.abs_eb));
@@ -151,22 +150,6 @@ TEST(Pipeline, StatsAreConsistent) {
   EXPECT_EQ(c.stage_costs.size(), 3u);  // pred-quant, fused shuffle, encode
 }
 
-TEST(Pipeline, SplitKernelVariantSameBytesDifferentCosts) {
-  const Field f = smooth_field(Dims{64, 64}, 6);
-  FzParams fused, split;
-  fused.eb = split.eb = ErrorBound::relative(1e-3);
-  split.fused_bitshuffle_mark = false;
-  const FzCompressed a = fz_compress(f.values(), f.dims, fused);
-  const FzCompressed b = fz_compress(f.values(), f.dims, split);
-  EXPECT_EQ(a.bytes, b.bytes);  // fusion is a pure performance knob
-  EXPECT_EQ(b.stage_costs.size(), 4u);
-  // The split variant pays an extra global round trip.
-  u64 fused_bytes = 0, split_bytes = 0;
-  for (const auto& c : a.stage_costs) fused_bytes += c.global_bytes();
-  for (const auto& c : b.stage_costs) split_bytes += c.global_bytes();
-  EXPECT_GT(split_bytes, fused_bytes);
-}
-
 TEST(Pipeline, AbsoluteAndRelativeBoundsAgree) {
   const Field f = smooth_field(Dims{4096}, 8);
   const double range = f.value_range();
@@ -189,7 +172,6 @@ TEST(Pipeline, CompressionIsDeterministic) {
   const FzCompressed b = fz_compress(f.values(), f.dims, params);
   EXPECT_EQ(a.bytes, b.bytes);
   params.quant = QuantVersion::V1Original;
-  params.fused_host_graph = false;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzCompressed d = fz_compress(f.values(), f.dims, params);
   EXPECT_EQ(c.bytes, d.bytes);
@@ -201,24 +183,21 @@ struct SweepCase {
   Dataset ds;
   double rel_eb;
   QuantVersion quant;
-  bool fused;
 };
 
 class PipelineSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(PipelineSweep, EveryConfigurationRoundTripsWithinBound) {
-  const auto [ds, rel_eb, quant, fused] = GetParam();
+  const auto [ds, rel_eb, quant] = GetParam();
   const Field f = generate_field(ds, scaled_dims(ds, 0.06), 101);
   FzParams params;
   params.eb = ErrorBound::relative(rel_eb);
   params.quant = quant;
-  params.fused_host_graph = quant != QuantVersion::V1Original;
-  params.fused_bitshuffle_mark = fused;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzDecompressed d = fz_decompress(c.bytes);
   EXPECT_TRUE(error_bounded(f.values(), d.data, c.stats.abs_eb))
       << dataset_name(ds) << " eb=" << rel_eb
-      << " quant=" << static_cast<int>(quant) << " fused=" << fused;
+      << " quant=" << static_cast<int>(quant);
   // V1 on unordered particle data at tight bounds turns almost every
   // residual into an 8-byte outlier and can EXPAND (the paper evaluates
   // HACC log-transformed for exactly this reason); V2 never expands that
@@ -233,8 +212,7 @@ std::vector<SweepCase> sweep_cases() {
     for (const double eb : {1e-2, 1e-4})
       for (const QuantVersion q :
            {QuantVersion::V1Original, QuantVersion::V2Optimized})
-        for (const bool fused : {false, true})
-          cases.push_back({ds, eb, q, fused});
+        cases.push_back({ds, eb, q});
   return cases;
 }
 
@@ -473,19 +451,6 @@ TEST(PipelineFormat, StructuredInspectReportsSectionLayout) {
   EXPECT_EQ(info.nonzero_blocks, c.stats.nonzero_blocks);
   EXPECT_EQ(info.saturated, c.stats.saturated);
   EXPECT_NEAR(info.ratio(), c.stats.ratio(), 1e-12);
-
-  // The deprecated legacy wrapper (kept one release for out-of-tree
-  // callers; docs/SERVICE.md has the migration table) reports the same
-  // identity fields.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const FzHeaderInfo legacy = fz_inspect(c.bytes);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(legacy.dims, info.dims);
-  EXPECT_EQ(legacy.count, info.count);
-  EXPECT_EQ(legacy.quant, info.quant);
-  EXPECT_EQ(legacy.dtype_bytes, info.dtype_bytes);
-  EXPECT_EQ(legacy.abs_eb, info.abs_eb);
 }
 
 TEST(PipelineFormat, StructuredInspectCoversV1AndLogTransform) {
@@ -493,7 +458,6 @@ TEST(PipelineFormat, StructuredInspectCoversV1AndLogTransform) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.eb = ErrorBound::absolute(1e-2);
   const FzCompressed c1 = fz_compress(f.values(), f.dims, v1);
   const StreamInfo i1 = inspect(c1.bytes);
@@ -534,24 +498,11 @@ TEST(PipelineParams, ValidateReturnsOneIssuePerProblem) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.radius = 40000;
   ASSERT_EQ(v1.validate().size(), 1u);
   EXPECT_STREQ(v1.validate()[0].field, "radius");
   v1.radius = 512;
-  EXPECT_TRUE(v1.validate().empty());
-
-  // The fused host graph has no V1 tile body: requesting both must fail at
-  // validate() time (not deep inside the stage) with an actionable message.
-  FzParams fused_v1;
-  fused_v1.quant = QuantVersion::V1Original;
-  ASSERT_EQ(fused_v1.validate().size(), 1u);
-  EXPECT_STREQ(fused_v1.validate()[0].field, "fused_host_graph");
-  EXPECT_NE(fused_v1.validate()[0].message.find("V2 quantization only"),
-            std::string::npos);
-  EXPECT_NE(fused_v1.validate()[0].message.find("fused_host_graph = false"),
-            std::string::npos);
-  EXPECT_THROW(Codec{fused_v1}, ParamError);
+  EXPECT_TRUE(v1.validate().empty());  // V1 needs no companion setting
 
   EXPECT_STREQ(good.validate(Dims{0, 4}).at(0).field, "dims");
   EXPECT_STREQ(good.validate(Dims{SIZE_MAX / 2, 3}).at(0).field, "dims");

@@ -4,7 +4,8 @@
 // all-zeros, all-ones, single-bit patterns, rounding ties, magnitudes that
 // straddle the per-tier exact-llround limits, and tile-boundary sizes.
 // Also covers the dispatch overrides (FZ_SIMD env var, explicit request)
-// and the fused tile pipeline against the unfused stage sequence.
+// and the fused tile pipeline at one worker against the unfused stage
+// sequence (tests/test_fused_parallel.cpp covers the other worker counts).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +21,7 @@
 #include "core/kernels_simd.hpp"
 #include "core/lorenzo.hpp"
 #include "core/quantizer.hpp"
+#include "reference_graph.hpp"
 
 namespace fz {
 namespace {
@@ -28,7 +30,6 @@ namespace {
 /// simd_supported() would silently clamp, so testing them adds nothing.
 std::vector<SimdLevel> levels_under_test() {
   std::vector<SimdLevel> levels{SimdLevel::Scalar};
-  if (simd_supported() >= SimdLevel::SSE2) levels.push_back(SimdLevel::SSE2);
   if (simd_supported() >= SimdLevel::AVX2) levels.push_back(SimdLevel::AVX2);
   return levels;
 }
@@ -50,7 +51,7 @@ std::vector<T> adversarial_values(size_t n, u64 seed) {
       case 1:  // exact rounding ties at eb = 0.5 (x = k + 0.5)
         v[i] = static_cast<T>(static_cast<double>(rng.below(200)) - 100 + 0.5);
         break;
-      case 2:  // large: crosses the SSE2 2^30 exact limit when scaled
+      case 2:  // large: past 2^30 (beyond i32) when scaled
         v[i] = static_cast<T>(rng.uniform(-4.0e9, 4.0e9));
         break;
       case 3:  // huge: crosses the AVX2 2^50 exact limit (f64 only ranges)
@@ -364,39 +365,6 @@ TEST(SimdMark, MatchesScalarReferenceWithTails) {
 
 // ---- fused tile pipeline ----------------------------------------------------
 
-struct RefOut {
-  std::vector<u32> shuffled;
-  std::vector<u8> byte_flags;
-  std::vector<u8> bit_flags;
-  size_t saturated = 0;
-  i64 anchor = 0;
-};
-
-/// The unfused stage sequence (DualQuantStage + BitshuffleMarkStage),
-/// reproduced with the scalar building blocks.
-template <typename T>
-RefOut reference_pipeline(std::span<const T> data, Dims dims, double eb) {
-  const size_t n = data.size();
-  std::vector<i64> pq(n), delta(n);
-  prequantize(data, eb, pq);
-  lorenzo_forward(pq, dims, delta);
-  RefOut r;
-  r.anchor = delta[0];
-  delta[0] = 0;
-  const size_t padded = round_up(n, kCodesPerTile);
-  const size_t words = padded / 2;
-  std::vector<u32> codewords(words, 0u);
-  const std::span<u16> codes{reinterpret_cast<u16*>(codewords.data()), padded};
-  r.saturated = quant_encode_v2(delta, codes.first(n));
-  r.shuffled.resize(words);
-  bitshuffle_tiles(codewords, r.shuffled);
-  r.byte_flags.resize(words / kBlockWords);
-  r.bit_flags.resize(div_ceil(r.byte_flags.size(), 8));
-  mark_blocks(r.shuffled, std::span<u8>{r.byte_flags},
-              std::span<u8>{r.bit_flags});
-  return r;
-}
-
 template <typename T>
 void check_fused(Dims dims, double eb, u64 seed, SimdLevel level,
                  double noise) {
@@ -406,24 +374,24 @@ void check_fused(Dims dims, double eb, u64 seed, SimdLevel level,
   for (size_t i = 0; i < n; ++i)
     data[i] = static_cast<T>(100.0 + 40.0 * std::sin(0.013 * double(i)) +
                              rng.uniform(-noise, noise));
-  const RefOut want = reference_pipeline(std::span<const T>{data}, dims, eb);
+  const FusedOut want = reference_fused(std::span<const T>{data}, dims, eb);
 
   std::vector<u32> shuffled(want.shuffled.size(), 0xdeadbeefu);
   std::vector<u8> byte_flags(want.byte_flags.size(), 0xee);
   std::vector<u8> bit_flags(want.bit_flags.size(), 0xee);
-  std::vector<i64> row(fused_row_scratch_elems(dims), -1);
-  std::vector<i64> plane(fused_plane_scratch_elems(dims), -1);
-  const FusedTileResult got = fused_quant_shuffle_mark(
+  const FusedParallelPlan plan = fused_parallel_plan(dims, 1);
+  std::vector<i64> scratch(plan.scratch_elems, -1);
+  const FusedTileResult got = fused_quant_shuffle_mark_parallel(
       std::span<const T>{data}, dims, eb, false, shuffled, byte_flags,
-      bit_flags, row, plane, level);
+      bit_flags, scratch, plan, level);
 
   ASSERT_EQ(want.shuffled, shuffled)
       << simd_level_name(level) << " dims " << dims.x << "x" << dims.y << "x"
       << dims.z;
   ASSERT_EQ(want.byte_flags, byte_flags) << simd_level_name(level);
   ASSERT_EQ(want.bit_flags, bit_flags) << simd_level_name(level);
-  EXPECT_EQ(want.anchor, got.anchor) << simd_level_name(level);
-  EXPECT_EQ(want.saturated, got.saturated) << simd_level_name(level);
+  EXPECT_EQ(want.res.anchor, got.anchor) << simd_level_name(level);
+  EXPECT_EQ(want.res.saturated, got.saturated) << simd_level_name(level);
 }
 
 TEST(SimdFused, MatchesUnfusedStagesAllRanksAndLevels) {
@@ -471,9 +439,6 @@ TEST(SimdDispatchTest, EnvVarForcesTierWhenAuto) {
   EnvGuard guard;
   setenv("FZ_SIMD", "scalar", 1);
   EXPECT_EQ(resolve_simd(SimdDispatch::Auto), SimdLevel::Scalar);
-  setenv("FZ_SIMD", "sse2", 1);
-  EXPECT_EQ(resolve_simd(SimdDispatch::Auto),
-            std::min(SimdLevel::SSE2, simd_supported()));
   setenv("FZ_SIMD", "avx2", 1);
   EXPECT_EQ(resolve_simd(SimdDispatch::Auto),
             std::min(SimdLevel::AVX2, simd_supported()));
@@ -488,14 +453,12 @@ TEST(SimdDispatchTest, ExplicitRequestBeatsEnv) {
   setenv("FZ_SIMD", "avx2", 1);
   EXPECT_EQ(resolve_simd(SimdDispatch::Scalar), SimdLevel::Scalar);
   setenv("FZ_SIMD", "scalar", 1);
-  EXPECT_EQ(resolve_simd(SimdDispatch::SSE2),
-            std::min(SimdLevel::SSE2, simd_supported()));
+  EXPECT_EQ(resolve_simd(SimdDispatch::AVX2), simd_supported());
 }
 
 TEST(SimdDispatchTest, RequestsClampDownNeverUp) {
   const SimdLevel hw = simd_supported();
   EXPECT_LE(resolve_simd(SimdDispatch::AVX2), hw);
-  EXPECT_LE(resolve_simd(SimdDispatch::SSE2), hw);
   EXPECT_EQ(resolve_simd(SimdDispatch::Scalar), SimdLevel::Scalar);
 }
 
@@ -503,8 +466,6 @@ TEST(SimdDispatchTest, ParseLevelAcceptsExactNamesOnly) {
   SimdLevel out = SimdLevel::AVX2;
   EXPECT_TRUE(simd_parse_level("scalar", out));
   EXPECT_EQ(out, SimdLevel::Scalar);
-  EXPECT_TRUE(simd_parse_level("sse2", out));
-  EXPECT_EQ(out, SimdLevel::SSE2);
   EXPECT_TRUE(simd_parse_level("avx2", out));
   EXPECT_EQ(out, SimdLevel::AVX2);
   EXPECT_FALSE(simd_parse_level("AVX2", out));
