@@ -25,7 +25,9 @@
 #                       JSON parses, spans nest per thread, and the
 #                       expected stage/chunk spans were recorded — the
 #                       regress trace must contain the per-strip
-#                       "fused-strip" spans of the tile-parallel pass, and
+#                       "fused-strip" spans of the tile-parallel pass and
+#                       every span of the fused decompress (strips,
+#                       offsets, carries, reconstruct), and
 #                       the cli selftest traces must contain the reader's
 #                       "reader-read" spans plus one pool-worker
 #                       "chunk-fetch" span per container chunk
@@ -117,14 +119,17 @@ echo "==== trace smoke: telemetry export validates ===="
 trace_smoke build/examples/fz_cli
 # A traced bench run: every env-sink codec in regress records into one
 # trace, covering the unfused reference graph and the fused-parallel
-# production graph — including the per-strip spans of the tile-parallel
-# pass.
+# production graphs — including the per-strip spans of the tile-parallel
+# compress pass and every phase of the fused decompress.
 trace_tmp=$(mktemp -d)
 FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
-  --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" > /dev/null
+  --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" \
+  --huff-out "${trace_tmp}/huff.json" --pr10-out "${trace_tmp}/pr10.json" \
+  > /dev/null
 python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
   --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
-  prefix-sum-encode
+  prefix-sum-encode decompress fused-decode fused-decode-strip \
+  decode-offsets decode-carry reconstruct
 rm -rf "${trace_tmp}"
 
 echo "==== lint-static: fzlint (layering / lock discipline / layout / hygiene) ===="

@@ -19,6 +19,13 @@ constexpr int popcount_u64(u64 v) { return std::popcount(v); }
 constexpr size_t round_up(size_t v, size_t m) { return (v + m - 1) / m * m; }
 constexpr size_t div_ceil(size_t v, size_t m) { return (v + m - 1) / m; }
 
+/// a + b modulo 2^64.  Prefix sums over decoded residuals use it: the anchor
+/// of a corrupt stream can carry them past the i64 range, which must not be
+/// undefined behaviour.  Results within range equal plain addition.
+constexpr i64 wrapping_add(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
+}
+
 /// Reinterpret the bits of a float as u32 and back (no UB, unlike casts).
 inline u32 float_bits(f32 v) { return std::bit_cast<u32>(v); }
 inline f32 bits_float(u32 v) { return std::bit_cast<f32>(v); }

@@ -70,8 +70,17 @@ void thread_crew(size_t count, size_t workers, Fn& fn) {
 /// std::terminate), so the first exception thrown by any iteration is
 /// captured and rethrown on the calling thread after the region ends —
 /// decoders rely on this to reject corrupt streams from parallel loops.
+///
+/// Fewer than two iterations run on the calling thread with no team: the
+/// fork/join would do no parallel work, yet the join would still wait for
+/// every team thread to be scheduled.
 template <typename Fn>
 void parallel_for(size_t begin, size_t end, Fn&& fn) {
+  if (end <= begin) return;
+  if (end - begin == 1) {
+    fn(begin);
+    return;
+  }
 #if defined(FZ_HAVE_OPENMP)
   std::exception_ptr error;
 #pragma omp parallel for schedule(static) shared(error)
@@ -85,7 +94,6 @@ void parallel_for(size_t begin, size_t end, Fn&& fn) {
   }
   if (error) std::rethrow_exception(error);
 #else
-  if (end <= begin) return;
   const size_t count = end - begin;
   const size_t workers =
       count < static_cast<size_t>(max_threads()) ? count

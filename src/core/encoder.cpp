@@ -127,6 +127,22 @@ size_t decode_block_offsets(std::span<const u8> bit_flags,
   return nonzero;
 }
 
+void decode_tile_bases(std::span<const u8> bit_flags, size_t block_bytes,
+                       std::span<u64> tile_bases) {
+  constexpr size_t kFlagBytesPerTile = kBlocksPerTile / 8;
+  FZ_FORMAT_REQUIRE(bit_flags.size() == tile_bases.size() * kFlagBytesPerTile,
+                    "decoder: flag array size mismatch");
+  u64 base = 0;
+  for (size_t t = 0; t < tile_bases.size(); ++t) {
+    tile_bases[t] = base;
+    const u8* f = bit_flags.data() + t * kFlagBytesPerTile;
+    for (size_t k = 0; k < kFlagBytesPerTile; k += sizeof(u64))
+      base += static_cast<u64>(popcount_u64(load_le<u64>(f + k)));
+  }
+  FZ_FORMAT_REQUIRE(block_bytes == base * kBlockWords * sizeof(u32),
+                    "decoder: block payload size mismatch");
+}
+
 void decode_blocks(std::span<const u8> bit_flags, std::span<const u32> blocks,
                    std::span<u32> out, std::span<u32> flags32,
                    std::span<u32> offsets, std::span<u32> scan_scratch) {

@@ -75,11 +75,19 @@ void decode_blocks(std::span<const u8> bit_flags, std::span<const u32> blocks,
 /// The offset-recovery half of decode_blocks: expand the packed bit flags
 /// into `flags32` (flags32.size() == total block count) and exclusive-scan
 /// them into `offsets`, validating the payload size.  Returns the nonzero
-/// block count.  The fused decompress pass (core/kernels_decode.hpp) uses
-/// this then scatters tile-by-tile instead of materializing `out`.
+/// block count.
 size_t decode_block_offsets(std::span<const u8> bit_flags,
                             std::span<const u32> blocks,
                             std::span<u32> flags32, std::span<u32> offsets,
                             std::span<u32> scan_scratch);
+
+/// Per-tile offset recovery for the fused decode (core/kernels_decode.hpp):
+/// tile_bases[t] is the index of tile t's first compacted block, the
+/// exclusive prefix sum of the popcounts of each tile's kBlocksPerTile / 8
+/// flag bytes.  `bit_flags` must hold exactly that many bytes per tile.
+/// Throws FormatError unless the flags count exactly `block_bytes / 16`
+/// nonzero blocks, so every block a tile addresses lies in the section.
+void decode_tile_bases(std::span<const u8> bit_flags, size_t block_bytes,
+                       std::span<u64> tile_bases);
 
 }  // namespace fz

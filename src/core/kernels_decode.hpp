@@ -1,30 +1,39 @@
-// The fused tile-parallel decompress pass — the decode-side twin of the
-// PR5 compress fusion (core/kernels_simd.hpp).
+// The fused single-pass decompress — the decode-side twin of the PR5
+// compress fusion (core/kernels_simd.hpp), after cuSZ+'s block-local
+// Lorenzo reconstruction.
 //
-// The unfused decompress graph materializes two full intermediate arrays
-// between the stream and the i64 residuals: the scattered shuffled words
-// (u32[total_words]) and the unshuffled code words (u32[total_words]).
-// Both are written once and read once — pure DRAM traffic.  This pass
-// walks the stream tile by tile instead: scatter one tile's compacted
-// blocks into a stack-resident 4 KiB buffer, inverse-bitshuffle it into a
-// second 4 KiB buffer, and sign-magnitude-decode the 2048 codes straight
-// into the caller's i64 delta array.  Both tile buffers live in L1 for the
-// whole pass, so the only DRAM traffic is the compressed sections in and
-// the deltas out.
+// The unfused decompress graph materializes the scattered shuffled words
+// and the unshuffled code words (u32[total_words] each), then runs three
+// whole-array inverse-Lorenzo scans (x, y, z) over i64[count] before
+// dequantizing.  This pass instead cuts the field into strips of whole
+// hyperplanes (z planes in 3-D, y rows in 2-D, x elements in 1-D) and, per
+// strip, walks its tiles once: scatter the tile's compacted blocks — read
+// in place from the stream — into a stack-resident 4 KiB buffer,
+// inverse-bitshuffle it into a second one, and sign-magnitude-decode the
+// 2048 codes straight into the inverse-Lorenzo recurrence
 //
-// Strips of whole tiles (the same fused_parallel_plan partitioning the
-// compress side uses) write disjoint delta slices, so every strip count
-// produces identical bytes; the inverse-Lorenzo scans that follow
-// (core/lorenzo.hpp) propagate their own chunk boundary offsets, keeping
-// the whole decompress byte-identical for every (workers, SIMD tier,
-// dtype, rank) combination — pinned by tests/test_fused_decompress.cpp.
+//   p[x,y,z] = Σ_{x'≤x} d[x',y,z] + p[x,y-1,z] + p[x,y,z-1] − p[x,y-1,z-1]
+//
+// with terms outside the strip taken as 0.  The neighbour rows are the
+// strip's most recent output, still in cache.  A tile that straddles a
+// strip boundary is decoded by both neighbours.
+//
+// What is left in i64[count] is a prefix sum local to each strip.  Its
+// global value differs by the global prefix at the hyperplane before the
+// strip, the same for every element at one in-plane position: one serial
+// pass over the strips' last hyperplanes builds those carries
+// (fused_decode_carries), and reconstruct adds them while it dequantizes
+// (dequantize with a StripPlan, core/quantizer.hpp).  Integer adds are
+// associative, so the output is byte-identical to the unfused graph for
+// every (workers, SIMD tier, dtype, rank) combination — pinned by
+// tests/test_fused_decompress.cpp.
 #pragma once
 
 #include <span>
 
 #include "common/simd.hpp"
 #include "common/types.hpp"
-#include "core/kernels_simd.hpp"
+#include "core/quantizer.hpp"
 
 namespace fz::telemetry {
 class Sink;
@@ -32,22 +41,29 @@ class Sink;
 
 namespace fz {
 
-/// Fused scatter + inverse bitshuffle + sign-magnitude decode.  `flags32`
-/// and `offsets` are the expanded block flags and their exclusive prefix
-/// sum (decode_block_offsets, core/encoder.hpp), `blocks` the compacted
-/// nonzero payload, and `deltas` the caller's i64 residual array of exactly
-/// the field's element count (tile padding never leaves the tile buffer).
-/// Tiles are processed in plan.strips disjoint strips; when `sink` is
+/// Strip plan of the fused decode: min(workers, hyperplanes, tiles) strips
+/// (workers 0 = the hardware thread count) over the outermost axis.
+/// Deterministic in (dims, workers).
+StripPlan fused_decode_plan(Dims dims, size_t workers);
+
+/// The strip pass.  `bit_flags` and `blocks` are the stream's sections
+/// (blocks at any byte alignment), `tile_bases` the per-tile block bases
+/// from decode_tile_bases (core/encoder.hpp), which has already checked
+/// that every block they address lies in `blocks`.  Writes the strip-local
+/// inverse Lorenzo of the decoded residuals, with `anchor` added to the
+/// first one, into `p` (the field's element count).  When `sink` is
 /// non-null each strip records a "fused-decode-strip" span (strip id, tile
-/// count, decoded bytes) on its worker thread.  Output is bit-identical to
-/// decode_blocks + bitunshuffle_tiles_simd + quant_decode_v2 for every plan
-/// and SIMD tier.
-void fused_scatter_decode_parallel(std::span<const u32> flags32,
-                                   std::span<const u32> offsets,
-                                   std::span<const u32> blocks,
-                                   std::span<i64> deltas,
-                                   const FusedParallelPlan& plan,
-                                   SimdLevel level,
-                                   telemetry::Sink* sink = nullptr);
+/// count, decoded bytes) on its worker thread.
+void fused_decode_strips(std::span<const u8> bit_flags, ByteSpan blocks,
+                         std::span<const u64> tile_bases, i64 anchor,
+                         Dims dims, std::span<i64> p, const StripPlan& plan,
+                         SimdLevel level, telemetry::Sink* sink = nullptr);
+
+/// The serial carry step: carries[s - 1] (one hyperplane each, s >= 1) is
+/// the global prefix at the hyperplane before strip s — strip 0's last
+/// hyperplane, then each carry plus the next strip's last local one.
+/// carries.size() == plan.carry_elems().
+void fused_decode_carries(std::span<const i64> p, const StripPlan& plan,
+                          std::span<i64> carries);
 
 }  // namespace fz

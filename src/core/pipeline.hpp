@@ -68,11 +68,15 @@ struct FzParams {
   QuantVersion quant = QuantVersion::V2Optimized;
   /// V1-only: quantization radius.
   u32 radius = 512;
-  /// Host execution: worker count for the tile-parallel fused passes (and
-  /// the chunk-parallel inverse-Lorenzo scans on decompress).  0 = one strip per
-  /// hardware thread.  Every worker count emits byte-identical streams —
-  /// pinned by tests/test_fused_parallel.cpp — so this is purely a
-  /// performance knob.
+  /// Host execution: worker count for the fused passes' strips — the
+  /// tile-parallel compress pass and the decode strips of a V2 decompress
+  /// (and the chunked inverse-Lorenzo scans of a V1 decompress).  0 = one
+  /// strip per hardware thread.  The per-element passes around them
+  /// (validation, block compaction, reconstruct) still use every core.
+  /// Every worker count emits byte-identical streams and restores
+  /// byte-identical fields — pinned by tests/test_fused_parallel.cpp and
+  /// tests/test_fused_decompress.cpp — so this is purely a performance
+  /// knob.
   size_t fused_workers = 0;
   /// Host execution: SIMD tier for the vectorized kernels.  Auto resolves
   /// from the FZ_SIMD env var / CPUID; every tier is bit-identical, so this

@@ -1,5 +1,6 @@
 #include "core/quantizer.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cfloat>
 #include <cmath>
@@ -28,13 +29,67 @@ void prequantize_impl(std::span<const T> data, double eb, std::span<i64> out) {
   });
 }
 
+/// The reconstruction expressions: d̂ = p · 2eb in double, rounded once.
 template <typename T>
-void dequantize_impl(std::span<const i64> p, double eb, std::span<T> out) {
+struct ExactDequant {
+  double scale;
+  T operator()(i64 v) const {
+    return static_cast<T>(static_cast<double>(v) * scale);
+  }
+};
+
+/// dequantize_f32fast's expression: a float product while float(p) is
+/// exact, the double one otherwise.
+struct FastDequantF32 {
+  static constexpr i64 kExactF32 = i64{1} << 24;  // float(p) exact below
+  double scale;
+  f32 scalef;
+  f32 operator()(i64 v) const {
+    return (v > -kExactF32 && v < kExactF32)
+               ? static_cast<f32>(v) * scalef
+               : static_cast<f32>(static_cast<double>(v) * scale);
+  }
+};
+
+/// out[i] = dq(p[i]), plus the strip carry of i under a multi-strip plan
+/// (see StripPlan).  One parallel pass either way.
+template <typename T, typename Dequant>
+void dequantize_impl(std::span<const i64> p, std::span<T> out,
+                     const StripPlan& plan, std::span<const i64> carries,
+                     Dequant dq) {
   FZ_REQUIRE(p.size() == out.size(), "dequantize: size mismatch");
-  const double scale = 2.0 * eb;
+  if (plan.strips <= 1) {
+    parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) out[i] = dq(p[i]);
+    });
+    return;
+  }
+  FZ_REQUIRE(plan.planes * plan.plane_elems == p.size() &&
+                 carries.size() == plan.carry_elems(),
+             "dequantize: strip plan mismatch");
+  const size_t pe = plan.plane_elems;
   parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i)
-      out[i] = static_cast<T>(static_cast<double>(p[i]) * scale);
+    size_t s = 0;
+    for (size_t i = b; i < e;) {
+      while (plan.first_plane(s + 1) * pe <= i) ++s;
+      const size_t end = std::min(e, plan.first_plane(s + 1) * pe);
+      if (s == 0) {
+        for (; i < end; ++i) out[i] = dq(p[i]);
+        continue;
+      }
+      const i64* carry = carries.data() + (s - 1) * pe;
+      if (pe == 1) {  // 1-D: one carry value per strip
+        for (; i < end; ++i) out[i] = dq(wrapping_add(p[i], carry[0]));
+        continue;
+      }
+      // The carry hyperplane repeats every pe elements of the strip.
+      for (size_t j = i % pe; i < end; j = 0) {
+        const size_t n = std::min(end - i, pe - j);
+        for (size_t k = 0; k < n; ++k)
+          out[i + k] = dq(wrapping_add(p[i + k], carry[j + k]));
+        i += n;
+      }
+    }
   });
 }
 
@@ -47,33 +102,26 @@ void prequantize(std::span<const f64> data, double eb, std::span<i64> out) {
   prequantize_impl(data, eb, out);
 }
 
-void dequantize(std::span<const i64> p, double eb, std::span<f32> out) {
-  dequantize_impl(p, eb, out);
+void dequantize(std::span<const i64> p, double eb, std::span<f32> out,
+                const StripPlan& plan, std::span<const i64> carries) {
+  dequantize_impl(p, out, plan, carries, ExactDequant<f32>{2.0 * eb});
 }
-void dequantize(std::span<const i64> p, double eb, std::span<f64> out) {
-  dequantize_impl(p, eb, out);
+void dequantize(std::span<const i64> p, double eb, std::span<f64> out,
+                const StripPlan& plan, std::span<const i64> carries) {
+  dequantize_impl(p, out, plan, carries, ExactDequant<f64>{2.0 * eb});
 }
 
-void dequantize_f32fast(std::span<const i64> p, double eb,
-                        std::span<f32> out) {
-  FZ_REQUIRE(p.size() == out.size(), "dequantize: size mismatch");
+void dequantize_f32fast(std::span<const i64> p, double eb, std::span<f32> out,
+                        const StripPlan& plan, std::span<const i64> carries) {
   const double scale = 2.0 * eb;
-  const float scalef = static_cast<float>(scale);
   // The fast product needs a normal, finite f32 scale; fall back to the
   // exact expression when 2·eb rounds to zero/subnormal/inf in f32.
   if (!(scale >= FLT_MIN && scale <= FLT_MAX)) {
-    dequantize_impl(p, eb, out);
+    dequantize_impl(p, out, plan, carries, ExactDequant<f32>{scale});
     return;
   }
-  constexpr i64 kExactF32 = i64{1} << 24;  // float(p) exact below this
-  parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const i64 v = p[i];
-      out[i] = (v > -kExactF32 && v < kExactF32)
-                   ? static_cast<f32>(v) * scalef
-                   : static_cast<f32>(static_cast<double>(v) * scale);
-    }
-  });
+  dequantize_impl(p, out, plan, carries,
+                  FastDequantF32{scale, static_cast<f32>(scale)});
 }
 
 size_t quant_encode_v2(std::span<const i64> deltas, std::span<u16> codes) {

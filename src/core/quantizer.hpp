@@ -23,17 +23,38 @@ namespace fz {
 void prequantize(FloatSpan data, double eb, std::span<i64> out);
 void prequantize(std::span<const f64> data, double eb, std::span<i64> out);
 
-/// Reconstruction: d̂_i = p_i · 2eb.
-void dequantize(std::span<const i64> p, double eb, std::span<f32> out);
-void dequantize(std::span<const i64> p, double eb, std::span<f64> out);
+/// A field cut into `strips` runs of whole hyperplanes: `planes`
+/// hyperplanes of `plane_elems` elements each, strip s starting at
+/// hyperplane s * planes / strips.  The fused decode plans its strips this
+/// way (core/kernels_decode.hpp) and leaves prefix sums local to each strip,
+/// which the dequantize overloads below globalize with one carry hyperplane
+/// per strip after the first.  The default plan is one strip: no carries.
+struct StripPlan {
+  size_t strips = 1;
+  size_t planes = 1;
+  size_t plane_elems = 1;
+
+  size_t first_plane(size_t s) const { return s * planes / strips; }
+  size_t carry_elems() const { return (strips - 1) * plane_elems; }
+};
+
+/// Reconstruction: d̂_i = p_i · 2eb.  With a multi-strip `plan`, element i
+/// of strip s >= 1 reconstructs from p_i + carries[(s - 1) * plane_elems +
+/// i % plane_elems] instead (carries.size() == plan.carry_elems()).
+void dequantize(std::span<const i64> p, double eb, std::span<f32> out,
+                const StripPlan& plan = {}, std::span<const i64> carries = {});
+void dequantize(std::span<const i64> p, double eb, std::span<f64> out,
+                const StripPlan& plan = {}, std::span<const i64> carries = {});
 
 /// All-f32 reconstruction fast path: float(p_i) · float(2eb) while
 /// |p_i| < 2^24 (where float(p_i) is exact), the double expression above
 /// otherwise.  Differs from dequantize by at most the product's f32
 /// rounding — the reconstruction still honours the error bound (pinned by
 /// QuantizerTest.F32FastDequantHonoursBound).  Selected by
-/// FzParams::f32_fast_quant.
-void dequantize_f32fast(std::span<const i64> p, double eb, std::span<f32> out);
+/// FzParams::f32_fast_quant.  Strip carries as for dequantize.
+void dequantize_f32fast(std::span<const i64> p, double eb, std::span<f32> out,
+                        const StripPlan& plan = {},
+                        std::span<const i64> carries = {});
 
 // ---- V2: optimized (sign-magnitude, saturating) ----------------------------
 

@@ -37,6 +37,7 @@ void PipelineContext::begin_compress(BufferPool* p, const FzParams& run_params,
   radius = 0;
   outliers.clear();
   nonzero_blocks = 0;
+  decode_plan = {};
   stats = {};
 }
 
@@ -67,6 +68,7 @@ void PipelineContext::begin_decompress(BufferPool* p,
   radius = 0;
   outliers.clear();
   nonzero_blocks = 0;
+  decode_plan = {};
   stats = {};
 }
 
@@ -82,6 +84,8 @@ void PipelineContext::release_scratch() {
   scan_scratch.release();
   blocks.release();
   row_scratch.release();
+  tile_bases.release();
+  carries.release();
 }
 
 void run_stages(const StageGraph& graph, PipelineContext& ctx) {
@@ -465,13 +469,13 @@ class InverseQuantStage final : public Stage {
 };
 
 /// The fused decompress hot path (the decode-side twin of
-/// FusedQuantShuffleMarkStage): recover block offsets once, then scatter +
-/// inverse-bitshuffle + sign-magnitude decode tile by tile per strip —
-/// the full shuffled-word and u16-code arrays never materialize.  The
-/// inverse Lorenzo runs after, with its boundary offsets propagated in the
-/// existing cheap second pass, so the output is byte-identical to the
-/// unfused graph for every plan.  V2 streams only (V1's outlier patching
-/// needs the whole code array).
+/// FusedQuantShuffleMarkStage, core/kernels_decode.hpp): one block base per
+/// tile, then one pass per strip of hyperplanes that decodes its tiles and
+/// runs the strip-local inverse Lorenzo on each row while it is in cache,
+/// then the serial strip carries ReconstructStage adds.  The full
+/// shuffled-word and u16-code arrays never materialize, and the output is
+/// byte-identical to the unfused graph for every plan.  V2 streams only
+/// (V1's outlier patching needs the whole code array).
 class FusedDecodeStage final : public Stage {
  public:
   const char* name() const override { return "fused-decode"; }
@@ -479,29 +483,28 @@ class FusedDecodeStage final : public Stage {
   void run(PipelineContext& ctx) const override {
     FZ_REQUIRE(ctx.params.quant == QuantVersion::V2Optimized,
                "fused decompress supports V2 streams only");
-    const size_t nblocks = ctx.total_blocks();
-    ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.scan_scratch = ctx.pool->acquire(
-        2 * scan_chunk_count(nblocks) * sizeof(u32), false);
-    // The block section sits at an arbitrary byte offset in the stream;
-    // copy it into an aligned buffer before viewing it as u32.
-    ctx.blocks = ctx.pool->acquire(ctx.sec_blocks.size(), false);
-    if (!ctx.sec_blocks.empty())
-      std::memcpy(ctx.blocks.data(), ctx.sec_blocks.data(),
-                  ctx.sec_blocks.size());
-    decode_block_offsets(ctx.sec_bit_flags, ctx.blocks.as<u32>(),
-                         ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
-                         ctx.scan_scratch.as<u32>());
-
+    {
+      // Validates the block section before any strip reads from it.
+      telemetry::Span span(ctx.sink, "decode-offsets");
+      const size_t tiles = ctx.padded_codes() / kCodesPerTile;
+      ctx.tile_bases = ctx.pool->acquire(tiles * sizeof(u64), false);
+      decode_tile_bases(ctx.sec_bit_flags, ctx.sec_blocks.size(),
+                        ctx.tile_bases.as<u64>());
+    }
+    const StripPlan plan =
+        fused_decode_plan(ctx.dims, ctx.params.fused_workers);
     ctx.pq = ctx.pool->acquire(ctx.count * sizeof(i64), false);
-    const std::span<i64> pq = ctx.pq.as<i64>();
-    fused_scatter_decode_parallel(
-        ctx.flags32.as<u32>(), ctx.offsets.as<u32>(), ctx.blocks.as<u32>(), pq,
-        fused_parallel_plan(ctx.dims, ctx.params.fused_workers),
-        resolve_simd(ctx.params.simd), ctx.sink);
-    pq[0] += ctx.header.anchor;  // restore the first value's residual
-    lorenzo_inverse(pq, ctx.dims, pq, ctx.params.fused_workers);
+    fused_decode_strips(ctx.sec_bit_flags, ctx.sec_blocks,
+                        ctx.tile_bases.as<u64>(), ctx.header.anchor, ctx.dims,
+                        ctx.pq.as<i64>(), plan, resolve_simd(ctx.params.simd),
+                        ctx.sink);
+    telemetry::Span span(ctx.sink, "decode-carry");
+    if (plan.strips > 1) {
+      ctx.carries =
+          ctx.pool->acquire(plan.carry_elems() * sizeof(i64), false);
+      fused_decode_carries(ctx.pq.as<i64>(), plan, ctx.carries.as<i64>());
+    }
+    ctx.decode_plan = plan;
   }
 };
 
@@ -522,14 +525,16 @@ class ReconstructStage final : public Stage {
   template <typename T>
   static void run_impl(PipelineContext& ctx) {
     const std::span<T> out = ctx.output_as<T>();
+    const std::span<const i64> pq = ctx.pq.as<i64>();
+    const std::span<const i64> carries = ctx.carries.as<i64>();
     if constexpr (std::is_same_v<T, f32>) {
       if (ctx.params.f32_fast_quant) {
-        dequantize_f32fast(ctx.pq.as<i64>(), ctx.abs_eb, out);
+        dequantize_f32fast(pq, ctx.abs_eb, out, ctx.decode_plan, carries);
       } else {
-        dequantize(ctx.pq.as<i64>(), ctx.abs_eb, out);
+        dequantize(pq, ctx.abs_eb, out, ctx.decode_plan, carries);
       }
     } else {
-      dequantize(ctx.pq.as<i64>(), ctx.abs_eb, out);
+      dequantize(pq, ctx.abs_eb, out, ctx.decode_plan, carries);
     }
     if (!ctx.log_transform) return;
     parallel_chunks(out.size(), size_t{1} << 14, [&](size_t b, size_t e) {

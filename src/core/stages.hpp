@@ -17,9 +17,12 @@
 //   AssembleStage               header + sections -> output stream
 // and, to decompress:
 //   ParseHeaderStage            validate header, slice stream sections
-//   FusedDecodeStage            scatter + inverse bitshuffle + decode per
-//                               tile, then inverse Lorenzo
-//   ReconstructStage            dequantize + inverse transform -> output
+//   FusedDecodeStage            per-tile block bases, then per strip of
+//                               hyperplanes: scatter + inverse bitshuffle +
+//                               decode + strip-local inverse Lorenzo per
+//                               tile, then the serial strip carries
+//   ReconstructStage            add carries + dequantize + inverse transform
+//                               -> output
 //
 // V1 runs the unfused graphs, which split the fused stages into
 // DualQuantStage + BitshuffleMarkStage and ScatterUnshuffleStage +
@@ -82,12 +85,17 @@ struct PipelineContext {
   PooledBuffer scan_scratch;  ///< u32: blocked-scan chunk totals/offsets
   PooledBuffer blocks;      ///< u32: compacted blocks (worst case sized)
   PooledBuffer row_scratch;  ///< i64: fused pass per-strip rolling rows
+  PooledBuffer tile_bases;  ///< u64[tiles]: fused decode per-tile block bases
+  PooledBuffer carries;     ///< i64[decode_plan.carry_elems()]: strip carries
 
   // ---- data-dependent results ---------------------------------------------
   i64 anchor = 0;
   u32 radius = 0;
   std::vector<Outlier> outliers;  ///< V1 only; capacity reused across runs
   size_t nonzero_blocks = 0;
+  /// Fused decompress: the strips `pq` holds local prefix sums over, whose
+  /// `carries` ReconstructStage adds.  One strip (no carries) otherwise.
+  StripPlan decode_plan;
   FzStats stats;
 
   /// Codes are padded with zeros to a whole number of 4096-byte tiles: the
@@ -138,8 +146,9 @@ StageGraph make_decompress_stages();
 
 /// The fused graphs, V2 only: compress never materializes the i64
 /// pre-quant array (core/kernels_simd.hpp), decompress never the shuffled
-/// words or the u16 codes (core/kernels_decode.hpp).  Byte-identical to
-/// the unfused graphs.
+/// words or the u16 codes and writes i64[count] once, scanned while each
+/// row is in cache (core/kernels_decode.hpp).  Byte-identical to the
+/// unfused graphs.
 StageGraph make_compress_stages_fused();
 StageGraph make_decompress_stages_fused();
 

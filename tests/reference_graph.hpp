@@ -29,13 +29,15 @@ std::vector<u8> reference_compress(std::span<const T> data, Dims dims,
   return out;
 }
 
+/// `params` carries the host knobs a decompress honours (f32_fast_quant
+/// changes the reconstruction expression).
 template <typename T>
-std::vector<T> reference_decompress(ByteSpan stream, size_t count) {
+std::vector<T> reference_decompress(ByteSpan stream, size_t count,
+                                    const FzParams& params = {}) {
   BufferPool pool;
   PipelineContext ctx;
   std::vector<T> out(count);
-  ctx.begin_decompress(&pool, FzParams{}, stream, count, sizeof(T),
-                       out.data());
+  ctx.begin_decompress(&pool, params, stream, count, sizeof(T), out.data());
   run_stages(make_decompress_stages(), ctx);
   return out;
 }

@@ -119,6 +119,9 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   const Field f = noisy_field(Dims{96, 80, 4}, 23);
   FzParams params;
   params.eb = ErrorBound::relative(1e-3);
+  // Three decode strips on any core count, so the steady state below also
+  // covers the fused decode's tile-base and strip-carry leases.
+  params.fused_workers = 3;
   Codec codec(params);
 
   // Warm-up: every scratch buffer for both paths is a pool miss once.

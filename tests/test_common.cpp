@@ -3,6 +3,8 @@
 #include <atomic>
 #include <limits>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -10,6 +12,10 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+
+#if defined(FZ_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace fz {
 namespace {
@@ -162,6 +168,31 @@ TEST(Parallel, ExceptionsPropagateToCaller) {
                               if (i == 517) throw Error("boom");
                             }),
                Error);
+}
+
+TEST(Parallel, SingleIterationRunsOnTheCaller) {
+  // One iteration (or one chunk) forks no team: it runs inline, and its
+  // exception reaches the caller unchanged.
+  const std::thread::id caller = std::this_thread::get_id();
+  auto expect_inline = [&] {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+#if defined(FZ_HAVE_OPENMP)
+    EXPECT_FALSE(omp_in_parallel());
+#endif
+  };
+  std::vector<size_t> seen;
+  parallel_for(7, 8, [&](size_t i) {
+    expect_inline();
+    seen.push_back(i);
+  });
+  parallel_chunks(40, 64, [&](size_t b, size_t e) {
+    expect_inline();
+    seen.push_back(b);
+    seen.push_back(e);
+  });
+  EXPECT_EQ(seen, (std::vector<size_t>{7, 0, 40}));
+  EXPECT_THROW(parallel_for(3, 4, [](size_t) { throw Error("boom"); }), Error);
+  parallel_for(5, 5, [](size_t) { FAIL(); });
 }
 
 TEST(Parallel, ChunksCoverRangeOnce) {

@@ -1,30 +1,40 @@
-// Schedule independence of the fused tile-parallel decompress pipeline:
-// the cache-resident scatter + inverse-bitshuffle + sign-magnitude decode
-// pass must reconstruct byte-identical fields to the classic staged
-// reference graph for EVERY worker count, SIMD tier, dtype and rank —
-// and the 3-D z-carry chunked inverse scans must be exact for every chunk
-// split (i64 adds are associative mod 2^64, so the partition never shows).
-// Also pins the per-strip telemetry spans, legacy-stream routing, the
-// device-model mirror (sim_fused_decode) and the split-plane halo windows,
-// plus end-to-end identity through fz::Reader chunk fetches and fz::Service
-// decompress jobs.
+// Schedule independence of the fused single-pass decompress: the strip
+// pass (scatter + inverse bitshuffle + sign-magnitude decode + strip-local
+// inverse Lorenzo per tile) plus the strip carries added at reconstruct
+// must restore byte-identical fields to the classic staged reference graph
+// for EVERY worker count, SIMD tier, dtype and rank, including strips that
+// cut tiles and planes shorter or rows longer than a tile — and the
+// reference graph's 3-D z-carry chunked scans must be exact for every
+// chunk split (i64 adds are associative mod 2^64, so the partition never
+// shows).  Corrupt flag sections and truncated block sections must fail
+// before any strip reads a block, and a corrupt anchor must wrap rather
+// than overflow.  Also pins the per-strip and per-phase telemetry spans,
+// legacy-stream routing, the device-model mirror (sim_fused_decode) and
+// the split-plane halo windows, plus end-to-end identity through
+// fz::Reader chunk fetches and fz::Service decompress jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/bitshuffle.hpp"
 #include "core/codec.hpp"
 #include "core/chunked.hpp"
 #include "core/encoder.hpp"
+#include "core/format.hpp"
+#include "core/kernels_decode.hpp"
 #include "core/kernels_sim.hpp"
 #include "core/kernels_simd.hpp"
 #include "core/lorenzo.hpp"
@@ -62,10 +72,16 @@ std::vector<SimdDispatch> tiers_under_test() {
   return tiers;
 }
 
-// Multi-tile shapes for every rank (same set the compress-side sweep in
-// test_fused_parallel.cpp uses); 2049 exercises the padded final tile.
-const Dims kDims[] = {Dims{5000},       Dims{2049},       Dims{64, 256},
-                      Dims{96, 40},     Dims{24, 20, 20}, Dims{32, 24, 24}};
+// Multi-tile shapes for every rank (the first six are the set the
+// compress-side sweep in test_fused_parallel.cpp uses); 2049 exercises the
+// padded final tile.  The rest probe the decode strips' boundaries: planes
+// shorter than a tile, rows longer than one, fewer hyperplanes than
+// workers, and a 1-D field whose strip boundaries cut tiles
+// (DecodePlanReachesTheBoundaryShapes pins each property).
+const Dims kDims[] = {Dims{5000},       Dims{2049},        Dims{64, 256},
+                      Dims{96, 40},     Dims{24, 20, 20},  Dims{32, 24, 24},
+                      Dims{37, 29, 11}, Dims{3000, 7},     Dims{300, 40, 2},
+                      Dims{20011}};
 
 template <typename T>
 std::vector<T> field(Dims dims, u64 seed) {
@@ -99,18 +115,20 @@ void expect_bits_equal(std::span<const T> a, std::span<const T> b,
 // ---- fused vs classic graph: byte identity across every schedule ----------
 
 template <typename T>
-void sweep_dtype(SimdDispatch tier, Dims dims) {
+void sweep_dtype(SimdDispatch tier, Dims dims, bool f32_fast = false) {
   const std::vector<T> data = field<T>(dims, dims.count());
   FzParams cp;
   cp.eb = ErrorBound::absolute(1e-3);
   cp.simd = tier;
   cp.fused_workers = 1;
+  cp.f32_fast_quant = f32_fast;
   Codec compressor(cp);
   const FzCompressed c =
       compressor.compress(std::span<const T>{data}, dims);
 
   // Reference: the classic staged graph (scatter-unshuffle / inverse-quant).
-  const std::vector<T> want = reference_decompress<T>(c.bytes, data.size());
+  const std::vector<T> want =
+      reference_decompress<T>(c.bytes, data.size(), cp);
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     FzParams dp = cp;
@@ -131,6 +149,129 @@ TEST(FusedDecompress, MatchesUnfusedForEveryScheduleDtypeAndRank) {
       sweep_dtype<f32>(tier, dims);
       sweep_dtype<f64>(tier, dims);
     }
+}
+
+TEST(FusedDecompress, F32FastReconstructMatchesReferenceAcrossStrips) {
+  // The strip carries join the fast f32 reconstruction expression too.
+  for (const SimdDispatch tier : tiers_under_test())
+    for (const Dims dims : {Dims{20011}, Dims{3000, 7}, Dims{37, 29, 11}})
+      sweep_dtype<f32>(tier, dims, /*f32_fast=*/true);
+}
+
+TEST(FusedDecompress, DecodePlanReachesTheBoundaryShapes) {
+  // The sweep's boundary shapes only test what they claim if the decode
+  // plan actually cuts them that way.
+  const StripPlan short_planes = fused_decode_plan(Dims{37, 29, 11}, 3);
+  EXPECT_EQ(short_planes.strips, 3u);
+  EXPECT_LT(short_planes.plane_elems, kCodesPerTile);
+
+  const StripPlan long_rows = fused_decode_plan(Dims{3000, 7}, 3);
+  EXPECT_EQ(long_rows.strips, 3u);
+  EXPECT_GT(long_rows.plane_elems, kCodesPerTile);
+
+  const StripPlan few_planes = fused_decode_plan(Dims{300, 40, 2}, 8);
+  EXPECT_EQ(few_planes.planes, 2u);
+  EXPECT_EQ(few_planes.strips, 2u);
+
+  const StripPlan line = fused_decode_plan(Dims{20011}, 3);
+  ASSERT_EQ(line.strips, 3u);
+  EXPECT_NE(line.first_plane(1) % kCodesPerTile, 0u);
+  EXPECT_NE(line.first_plane(2) % kCodesPerTile, 0u);
+
+  // Never more strips than tiles, and deterministic in (dims, workers).
+  EXPECT_EQ(fused_decode_plan(Dims{5000}, 8).strips, 3u);
+  EXPECT_EQ(fused_decode_plan(Dims{2049}, 0).strips,
+            std::min<size_t>(2, static_cast<size_t>(max_threads())));
+}
+
+TEST(FusedDecompress, HostileFlagsAndTruncationsFailBeforeAnyStripReads) {
+  // A multi-strip 3-D stream: every single-bit flip of the bit-flag
+  // section changes the nonzero-block count, and every cut inside the
+  // block section shortens the payload — both must come back as a format
+  // error before a strip reads a block in place from the stream (no
+  // "fused-decode-strip" span; ASan would catch a read past the section).
+  const Dims dims{48, 40, 24};
+  const std::vector<f32> data = field<f32>(dims, 53);
+  Codec compressor;
+  const FzCompressed c = compressor.compress(std::span<const f32>{data}, dims);
+  StreamHeader h{};
+  std::memcpy(&h, c.bytes.data(), sizeof(h));
+  // Copied out of the packed header: gtest binds its operands by reference.
+  const size_t flag_bytes = h.bit_flag_bytes;
+  const size_t block_bytes = h.block_words * sizeof(u32);
+  const size_t flags_at = sizeof(StreamHeader);
+  const size_t blocks_at = flags_at + flag_bytes;
+  ASSERT_GT(block_bytes, 0u);
+  ASSERT_EQ(fused_decode_plan(dims, 3).strips, 3u);
+
+  telemetry::Sink sink;
+  FzParams dp;
+  dp.fused_workers = 3;
+  dp.telemetry = &sink;
+  Codec codec(dp);
+  std::vector<f32> out(data.size());
+  size_t attempts = 0;
+  auto expect_rejected = [&](const std::vector<u8>& bad,
+                             const std::string& what) {
+    ++attempts;
+    const Status st = codec.try_decompress_into(bad, out);
+    EXPECT_EQ(st.code(), StatusCode::InvalidStream) << what;
+  };
+  for (size_t byte = 0; byte < flag_bytes; ++byte)
+    for (u32 bit = 0; bit < 8; ++bit) {
+      std::vector<u8> bad = c.bytes;
+      bad[flags_at + byte] ^= static_cast<u8>(1u << bit);
+      expect_rejected(bad, "flag byte " + std::to_string(byte) + " bit " +
+                               std::to_string(bit));
+    }
+  for (size_t keep = blocks_at; keep < blocks_at + block_bytes; keep += 61) {
+    const std::vector<u8> cut(c.bytes.begin(),
+                              c.bytes.begin() + static_cast<long>(keep));
+    expect_rejected(cut, "truncated to " + std::to_string(keep));
+  }
+
+  size_t strip_spans = 0, offset_spans = 0;
+  for (const auto& ev : sink.snapshot()) {
+    const std::string_view name{ev.name};
+    if (name == "fused-decode-strip") ++strip_spans;
+    if (name == "decode-offsets") ++offset_spans;
+  }
+  EXPECT_EQ(strip_spans, 0u);
+  // Every bit flip reached the offset check; truncations stop at the
+  // header parse.
+  EXPECT_EQ(offset_spans, flag_bytes * 8);
+  EXPECT_GT(attempts, offset_spans);
+
+  // The codec is not poisoned by the failures.
+  ASSERT_TRUE(codec.try_decompress_into(c.bytes, out).ok());
+  expect_bits_equal<f32>(out, reference_decompress<f32>(c.bytes, data.size()),
+                         "after hostile inputs");
+}
+
+TEST(FusedDecompress, ExtremeAnchorWrapsIdenticallyAcrossWorkers) {
+  // A corrupt anchor at the edge of the i64 range carries the strip sums
+  // past it.  They wrap modulo 2^64 (signed overflow would abort the
+  // asan-ubsan build), and the strip carries still make every worker
+  // count restore the same values.
+  const Dims dims{48, 40, 24};
+  const std::vector<f32> data = field<f32>(dims, 59);
+  Codec compressor;
+  FzCompressed c = compressor.compress(std::span<const f32>{data}, dims);
+  const i64 anchor = INT64_MAX - 3;
+  std::memcpy(c.bytes.data() + offsetof(StreamHeader, anchor), &anchor,
+              sizeof(anchor));
+
+  std::vector<f32> want(data.size());
+  FzParams one;
+  one.fused_workers = 1;
+  ASSERT_TRUE(Codec(one).try_decompress_into(c.bytes, want).ok());
+  for (size_t workers : {size_t{2}, size_t{3}, size_t{8}}) {
+    FzParams dp;
+    dp.fused_workers = workers;
+    std::vector<f32> got(data.size());
+    ASSERT_TRUE(Codec(dp).try_decompress_into(c.bytes, got).ok());
+    expect_bits_equal<f32>(got, want, "workers " + std::to_string(workers));
+  }
 }
 
 TEST(FusedDecompress, LegacyV1StreamsRouteToTheClassicGraph) {
@@ -175,8 +316,9 @@ TEST(FusedDecompress, ZScanChunkedIsExactForEveryChunkCount) {
 }
 
 TEST(FusedDecompress, FlatVolumeStreamsDecodeIdenticallyAcrossWorkers) {
-  // End-to-end: the chunked z-scan inside decompress must never show in
-  // the restored bytes.
+  // End-to-end: a volume of one-row planes splits into decode strips of a
+  // few rows each; the strip carries must never show in the restored
+  // bytes.
   const Dims dims{1024, 1, 48};
   const std::vector<f32> data = field<f32>(dims, 13);
   Codec compressor;
@@ -214,7 +356,7 @@ TEST(FusedDecompress, EmitsOneStripSpanPerPlannedStrip) {
   std::vector<f32> out(data.size());
   codec.decompress_into(c.bytes, out);
 
-  const FusedParallelPlan plan = fused_parallel_plan(dims, 8);
+  const StripPlan plan = fused_decode_plan(dims, 8);
   ASSERT_GT(plan.strips, 1u);
   size_t strip_spans = 0;
   bool saw_fused_decode_stage = false;

@@ -102,6 +102,27 @@ TEST(Telemetry, DecompressAndF64EmitOneSpanPerStage) {
        {"decompress", "parse-header", "fused-decode", "reconstruct"})
     EXPECT_EQ(counts.at(stage), 1u) << stage;
 
+  // The fused decode's serial phases get their own spans, recorded on the
+  // run thread inside "fused-decode".
+  const auto events = sink.snapshot();
+  const auto decode = std::find_if(events.begin(), events.end(),
+                                   [](const TraceEvent& ev) {
+                                     return std::string_view{ev.name} ==
+                                            "fused-decode";
+                                   });
+  ASSERT_NE(decode, events.end());
+  for (const char* phase : {"decode-offsets", "decode-carry"}) {
+    EXPECT_EQ(counts.at(phase), 1u) << phase;
+    for (const TraceEvent& ev : events) {
+      if (std::string_view{ev.name} != phase) continue;
+      EXPECT_EQ(ev.tid, decode->tid) << phase;
+      EXPECT_GT(ev.depth, decode->depth) << phase;
+      EXPECT_GE(ev.start_ns, decode->start_ns) << phase;
+      EXPECT_LE(ev.start_ns + ev.dur_ns, decode->start_ns + decode->dur_ns)
+          << phase;
+    }
+  }
+
   // A V1 stream decompresses through the unfused graph's classic stages.
   Sink unfused_sink;
   params.telemetry = &unfused_sink;
