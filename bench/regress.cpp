@@ -9,7 +9,9 @@
 // against the scalar-unfused reference is asserted while measuring.  The
 // unfused rows drive the reference graph (make_compress_stages /
 // make_decompress_stages) over a PipelineContext directly; fz::Codec runs
-// V2 through the fused graphs.
+// V2 through the fused graphs.  "prequant-f32" times the unfused graph's
+// exact f32 row, "prequant-f32fast" the float row every fused row and
+// config uses, so the identity asserts compare the two on every dataset.
 //
 // PR8 adds a gap-array Huffman decode sweep: per-dataset quantization codes
 // are Huffman-encoded once, then decoded at 1/2/4/max workers (table-driven)
@@ -209,8 +211,8 @@ int main(int argc, char** argv) {
     std::vector<i64> strip_scratch(plan.scratch_elems);
     add("fused-parallel-pipeline", n * 4, [&] {
       fused_quant_shuffle_mark_parallel(
-          stage_field.values(), stage_field.dims, abs_eb, /*f32_fast=*/false,
-          shuffled, byte_flags, bit_flags, strip_scratch, plan, level);
+          stage_field.values(), stage_field.dims, abs_eb, shuffled,
+          byte_flags, bit_flags, strip_scratch, plan, level);
     });
   }
   std::cout << "Stage throughput (" << stage_field.dataset << " "

@@ -55,11 +55,20 @@
 # the offending test; TSan exits nonzero on a report; clang-tidy exits
 # nonzero on any warning-as-error; fzlint exits nonzero on any finding).
 #
+# Every numbered section runs, even after an earlier one failed: each runs
+# in its own `( set -e; ... )` subshell, so it stops at its own first
+# failing command and the next section still starts.  The script ends with
+# one line per section and exits 1 if any failed, naming each of them.
+#
 # Usage: scripts/check.sh [--fast]
 #   --fast   default configuration + lint-static only (skip sanitizer
 #            builds and clang-tidy)
-set -euo pipefail
-cd "$(dirname "$0")/.."
+#
+# No errexit at the top level: a failing section must not end the script.
+# (errexit is also ignored inside a function or subshell that is an if/||
+# condition, which is why run_section reads $? after a plain subshell.)
+set -uo pipefail
+cd "$(dirname "$0")/.." || exit 1
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
@@ -104,38 +113,32 @@ service_smoke() {
   "${fzd}" soak --requests 600 --clients 6 --queue 16 > /dev/null
 }
 
-run_preset default
+default_suite() {
+  run_preset default
+  echo "==== default suite pinned to one core (taskset -c 0) ===="
+  taskset -c 0 ctest --preset default -j "${jobs}"
+}
 
-echo "==== default suite pinned to one core (taskset -c 0) ===="
-taskset -c 0 ctest --preset default -j "${jobs}"
+trace_section() {
+  trace_smoke build/examples/fz_cli
+  # A traced bench run: every env-sink codec in regress records into one
+  # trace, covering the unfused reference graph and the fused-parallel
+  # production graphs — including the per-strip spans of the tile-parallel
+  # compress pass and every phase of the fused decompress.
+  local trace_tmp
+  trace_tmp=$(mktemp -d)
+  FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
+    --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" \
+    --huff-out "${trace_tmp}/huff.json" --pr10-out "${trace_tmp}/pr10.json" \
+    > /dev/null
+  python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
+    --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
+    prefix-sum-encode decompress fused-decode fused-decode-strip \
+    decode-offsets decode-carry reconstruct
+  rm -rf "${trace_tmp}"
+}
 
-echo "==== service smoke: fzd selftest + concurrent soak ===="
-service_smoke build/src/fzd
-
-echo "==== bench smoke: SIMD + fused-pipeline + random-access guards ===="
-scripts/bench_smoke.sh build/bench/regress build/bench/random_access
-
-echo "==== trace smoke: telemetry export validates ===="
-trace_smoke build/examples/fz_cli
-# A traced bench run: every env-sink codec in regress records into one
-# trace, covering the unfused reference graph and the fused-parallel
-# production graphs — including the per-strip spans of the tile-parallel
-# compress pass and every phase of the fused decompress.
-trace_tmp=$(mktemp -d)
-FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
-  --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" \
-  --huff-out "${trace_tmp}/huff.json" --pr10-out "${trace_tmp}/pr10.json" \
-  > /dev/null
-python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
-  --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
-  prefix-sum-encode decompress fused-decode fused-decode-strip \
-  decode-offsets decode-carry reconstruct
-rm -rf "${trace_tmp}"
-
-echo "==== lint-static: fzlint (layering / lock discipline / layout / hygiene) ===="
-scripts/lint_gate.sh build
-
-if [[ "${1:-}" != "--fast" ]]; then
+asan_section() {
   run_preset asan-ubsan
 
   echo "==== trace smoke (asan-ubsan) ===="
@@ -148,13 +151,16 @@ if [[ "${1:-}" != "--fast" ]]; then
   build-asan/tests/test_fused_parallel
   build-asan/tests/test_threading \
     --gtest_filter='Threading.SharedSinkAcrossFusedStripWorkers'
+}
 
+tsan_section() {
   run_preset tsan
 
   echo "==== service smoke (tsan): fzd selftest + concurrent soak ===="
   service_smoke build-tsan/src/fzd
+}
 
-  echo "==== lint: clang-tidy over src/ ===="
+lint_section() {
   if command -v clang-tidy > /dev/null 2>&1; then
     cmake --build build --target lint
   elif [[ "${FZ_REQUIRE_LINT:-0}" == "1" ]]; then
@@ -164,6 +170,50 @@ if [[ "${1:-}" != "--fast" ]]; then
   else
     echo "lint: clang-tidy not found on PATH; skipping (install clang-tidy to enable, or set FZ_REQUIRE_LINT=1 to make this fatal)"
   fi
+}
+
+sections=()
+results=()
+failed=()
+
+# run_section NAME CMD...: run CMD in a `set -e` subshell; record the result.
+run_section() {
+  local name="$1"
+  shift
+  echo "==== ${name} ===="
+  ( set -e; "$@" )
+  local rc=$?
+  sections+=("${name}")
+  if (( rc == 0 )); then
+    results+=("ok")
+  else
+    results+=("FAILED (exit ${rc})")
+    failed+=("${name}")
+  fi
+}
+
+run_section "1 default: build + suite, unpinned and pinned" default_suite
+run_section "1b service smoke: fzd selftest + concurrent soak" \
+  service_smoke build/src/fzd
+run_section "2 bench smoke: SIMD + fused-pipeline + random-access guards" \
+  scripts/bench_smoke.sh build/bench/regress build/bench/random_access
+run_section "3 trace smoke: telemetry export validates" trace_section
+run_section "4 lint-static: fzlint (layering / lock discipline / layout / hygiene)" \
+  scripts/lint_gate.sh build
+
+if [[ "${1:-}" != "--fast" ]]; then
+  run_section "5 asan-ubsan" asan_section
+  run_section "6 tsan" tsan_section
+  run_section "7 lint: clang-tidy over src/" lint_section
 fi
 
+echo "==== check.sh summary ===="
+for i in "${!sections[@]}"; do
+  echo "  ${results[i]}: ${sections[i]}"
+done
+if (( ${#failed[@]} != 0 )); then
+  echo "check.sh: ${#failed[@]} section(s) failed:" >&2
+  for name in "${failed[@]}"; do echo "  ${name}" >&2; done
+  exit 1
+fi
 echo "check.sh: all configurations green"

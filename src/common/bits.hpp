@@ -19,11 +19,16 @@ constexpr int popcount_u64(u64 v) { return std::popcount(v); }
 constexpr size_t round_up(size_t v, size_t m) { return (v + m - 1) / m * m; }
 constexpr size_t div_ceil(size_t v, size_t m) { return (v + m - 1) / m; }
 
-/// a + b modulo 2^64.  Prefix sums over decoded residuals use it: the anchor
-/// of a corrupt stream can carry them past the i64 range, which must not be
-/// undefined behaviour.  Results within range equal plain addition.
+/// a + b and a - b modulo 2^64.  Prefix sums over decoded residuals use
+/// them, because the anchor of a corrupt stream can carry the sums past the
+/// i64 range; so do the Lorenzo residuals on compress, because an eb tiny
+/// against the data sends llround to the ends of that range.  Neither may
+/// be undefined behaviour.  Results within range equal plain arithmetic.
 constexpr i64 wrapping_add(i64 a, i64 b) {
   return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
+}
+constexpr i64 wrapping_sub(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) - static_cast<u64>(b));
 }
 
 /// Reinterpret the bits of a float as u32 and back (no UB, unlike casts).
@@ -61,10 +66,10 @@ constexpr i32 sign_magnitude_decode(u16 code) {
   return (code & kSignBit16) ? -mag : mag;
 }
 
-/// True when encoding `delta` as a 16-bit sign-magnitude code would saturate.
+/// True when encoding `delta` as a 16-bit sign-magnitude code would saturate
+/// (INT64_MIN included, which has no i64 magnitude).
 constexpr bool sign_magnitude_saturates(i64 delta) {
-  const i64 mag = delta < 0 ? -delta : delta;
-  return mag > kMaxMagnitude16;
+  return delta > kMaxMagnitude16 || delta < -kMaxMagnitude16;
 }
 
 /// Zig-zag mapping (used by the SZ-style baselines' quantization codes).

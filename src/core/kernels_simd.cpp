@@ -78,39 +78,6 @@ void prequant_row_f32fast_scalar(const f32* data, size_t n, double inv,
     out[i] = prequant_one_f32fast(data[i], inv, invf);
 }
 
-// The f64 fast path pays one more rounding than the f32 one: the input is
-// first narrowed to f32 (vf = fl32(v)), then x = fl32(vf * fl32(inv)) — three
-// roundings, so the relative error bound grows to ~3*2^-24 and the margin
-// slope widens to 2^-21 (vs 2^-22), leaving >2.6x slack.  Two extra guards
-// keep the bound honest: a *subnormal* nonzero fl32(v) voids the relative
-// error analysis, so those lanes take the exact path; fl32(v) == 0 with
-// v != 0 stays fast because |v * inv| < 2^-149 * 2^128 = 2^-21 < 0.5 then,
-// so 0 IS the exact llround.  fl32(v) overflowing to inf fails the range
-// test like any large x.  The same kF32FastLimit cap applies (the wider
-// margin just reaches 0.5 earlier, sending more large values to the exact
-// path — a perf matter, never a correctness one).
-constexpr float kF64FastMarginSlope = 0x1p-21f;
-
-inline i64 prequant_one_f64fast(f64 v, double inv, float invf) {
-  const float vf = static_cast<float>(v);
-  const float av = std::fabs(vf);
-  if (av < FLT_MIN && av != 0.0f) return prequant_one(v, inv);
-  const float x = vf * invf;
-  const float ax = std::fabs(x);
-  if (!(ax < kF32FastLimit)) return prequant_one(v, inv);
-  const long r = std::lrintf(x);
-  const float diff = std::fabs(x - static_cast<float>(r));
-  const float margin = ax * kF64FastMarginSlope + 0x1p-24f;
-  if (!(diff < 0.5f - margin)) return prequant_one(v, inv);
-  return r;
-}
-
-void prequant_row_f64fast_scalar(const f64* data, size_t n, double inv,
-                                 float invf, i64* out) {
-  for (size_t i = 0; i < n; ++i)
-    out[i] = prequant_one_f64fast(data[i], inv, invf);
-}
-
 inline u16 clip_encode_one(i64 v, size_t& sat) {
   if (sign_magnitude_saturates(v)) ++sat;
   const i64 clipped = v > kMaxMagnitude16
@@ -135,13 +102,24 @@ size_t encode_row_scalar(const i64* d, size_t n, u16* codes) {
 // `has_left` distinguishes a mid-row segment (element 0 has an in-row left
 // neighbour) from a row start, whose delta drops every [i-1] term — exactly
 // lorenzo_forward at x = 0.  1-D has no flag: the caller keeps a carry slot
-// at p[-1] (zero at the very start).  All arithmetic is i64 adds, so every
-// tier is bit-identical by construction.
+// at p[-1] (zero at the very start).  All arithmetic is modulo 2^64
+// (wrapping_add/wrapping_sub here, paddq/psubq in the vector tiers), so
+// every tier is bit-identical by construction, also when an eb tiny against
+// the data drives the pre-quantized values to the ends of the i64 range.
+
+inline i64 sum2(const i64* cur, const i64* prev, size_t i) {
+  return wrapping_sub(cur[i], prev[i]);
+}
+
+inline i64 sum3(const i64* cur, const i64* prev, const i64* ppy,
+                const i64* ppy1, size_t i) {
+  return wrapping_add(sum2(cur, prev, i), wrapping_sub(ppy1[i], ppy[i]));
+}
 
 size_t delta1_encode_scalar(const i64* p, size_t n, u16* out) {
   size_t sat = 0;
   for (size_t i = 0; i < n; ++i)
-    out[i] = clip_encode_one(p[i] - p[i - 1], sat);
+    out[i] = clip_encode_one(wrapping_sub(p[i], p[i - 1]), sat);
   return sat;
 }
 
@@ -149,9 +127,10 @@ size_t delta2_encode_scalar(const i64* cur, const i64* prev, size_t n,
                             bool has_left, u16* out) {
   size_t sat = 0;
   size_t i = 0;
-  if (!has_left && n != 0) out[i++] = clip_encode_one(cur[0] - prev[0], sat);
+  if (!has_left && n != 0) out[i++] = clip_encode_one(sum2(cur, prev, 0), sat);
   for (; i < n; ++i)
-    out[i] = clip_encode_one(cur[i] - cur[i - 1] - prev[i] + prev[i - 1], sat);
+    out[i] = clip_encode_one(
+        wrapping_sub(sum2(cur, prev, i), sum2(cur, prev, i - 1)), sat);
   return sat;
 }
 
@@ -161,10 +140,10 @@ size_t delta3_encode_scalar(const i64* cur, const i64* prev, const i64* ppy,
   size_t sat = 0;
   size_t i = 0;
   if (!has_left && n != 0)
-    out[i++] = clip_encode_one(cur[0] - prev[0] - ppy[0] + ppy1[0], sat);
+    out[i++] = clip_encode_one(sum3(cur, prev, ppy, ppy1, 0), sat);
   for (; i < n; ++i)
-    out[i] = clip_encode_one(cur[i] - cur[i - 1] - prev[i] + prev[i - 1] -
-                                 ppy[i] + ppy[i - 1] + ppy1[i] - ppy1[i - 1],
+    out[i] = clip_encode_one(wrapping_sub(sum3(cur, prev, ppy, ppy1, i),
+                                          sum3(cur, prev, ppy, ppy1, i - 1)),
                              sat);
   return sat;
 }
@@ -295,55 +274,6 @@ __attribute__((target("avx2"))) void prequant_row_f32fast_avx2(
   for (; i < n; ++i) out[i] = prequant_one_f32fast(data[i], inv, invf);
 }
 
-__attribute__((target("avx2"))) void prequant_row_f64fast_avx2(
-    const f64* data, size_t n, double inv, float invf, i64* out) {
-  const __m256 vinvf = _mm256_set1_ps(invf);
-  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  const __m256 limitf = _mm256_set1_ps(kF32FastLimit);
-  const __m256 fltmin = _mm256_set1_ps(FLT_MIN);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 mslope = _mm256_set1_ps(kF64FastMarginSlope);
-  const __m256 mfloor = _mm256_set1_ps(0x1p-24f);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // Two 4-wide narrowing converts (round-to-nearest-even == fl32).
-    const __m256 vf = _mm256_insertf128_ps(
-        _mm256_castps128_ps256(_mm256_cvtpd_ps(_mm256_loadu_pd(data + i))),
-        _mm256_cvtpd_ps(_mm256_loadu_pd(data + i + 4)), 1);
-    const __m256 av = _mm256_and_ps(vf, abs_mask);
-    const __m256 sub =
-        _mm256_and_ps(_mm256_cmp_ps(av, fltmin, _CMP_LT_OQ),
-                      _mm256_cmp_ps(av, zero, _CMP_NEQ_OQ));
-    const __m256 x = _mm256_mul_ps(vf, vinvf);
-    const __m256 ax = _mm256_and_ps(x, abs_mask);
-    if (_mm256_movemask_ps(_mm256_or_ps(
-            sub, _mm256_cmp_ps(ax, limitf, _CMP_NLT_UQ))) != 0) {
-      for (size_t k = 0; k < 8; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m256i q = _mm256_cvtps_epi32(x);  // nearest-even == lrintf
-    // Same margin test as prequant_one_f64fast, eight lanes at once.
-    const __m256 diff =
-        _mm256_and_ps(_mm256_sub_ps(x, _mm256_cvtepi32_ps(q)), abs_mask);
-    const __m256 margin = _mm256_add_ps(_mm256_mul_ps(ax, mslope), mfloor);
-    if (_mm256_movemask_ps(_mm256_cmp_ps(diff, _mm256_sub_ps(half, margin),
-                                         _CMP_NLT_UQ)) != 0) {
-      for (size_t k = 0; k < 8; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(q)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i + 4),
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(q, 1)));
-  }
-  for (; i < n; ++i) out[i] = prequant_one_f64fast(data[i], inv, invf);
-}
-
 // Encodes four i64 residuals to sign-magnitude u16 codes (in the low 64
 // bits of the result); bumps `sat` per saturated lane.  mag < 0 can only
 // mean INT64_MIN — treated as saturated, like the scalar clip.
@@ -404,8 +334,7 @@ __attribute__((target("avx2"))) size_t delta1_encode_avx2(const i64* p,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm_packus_epi32(lo, hi));
   }
-  for (; i < n; ++i) out[i] = clip_encode_one(p[i] - p[i - 1], sat);
-  return sat;
+  return sat + delta1_encode_scalar(p + i, n - i, out + i);
 }
 
 __attribute__((target("avx2"))) inline __m256i delta2_sum_avx2(const i64* cur,
@@ -423,7 +352,7 @@ __attribute__((target("avx2"))) size_t delta2_encode_avx2(const i64* cur,
                                                           u16* out) {
   size_t sat = 0;
   size_t i = 0;
-  if (!has_left && n != 0) out[i++] = clip_encode_one(cur[0] - prev[0], sat);
+  if (!has_left && n != 0) out[i++] = clip_encode_one(sum2(cur, prev, 0), sat);
   for (; i + 8 <= n; i += 8) {
     const __m128i lo =
         encode4_avx2(_mm256_sub_epi64(delta2_sum_avx2(cur, prev, i),
@@ -436,9 +365,7 @@ __attribute__((target("avx2"))) size_t delta2_encode_avx2(const i64* cur,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm_packus_epi32(lo, hi));
   }
-  for (; i < n; ++i)
-    out[i] = clip_encode_one(cur[i] - cur[i - 1] - prev[i] + prev[i - 1], sat);
-  return sat;
+  return sat + delta2_encode_scalar(cur + i, prev + i, n - i, true, out + i);
 }
 
 __attribute__((target("avx2"))) inline __m256i delta3_sum_avx2(
@@ -459,7 +386,7 @@ __attribute__((target("avx2"))) size_t delta3_encode_avx2(
   size_t sat = 0;
   size_t i = 0;
   if (!has_left && n != 0)
-    out[i++] = clip_encode_one(cur[0] - prev[0] - ppy[0] + ppy1[0], sat);
+    out[i++] = clip_encode_one(sum3(cur, prev, ppy, ppy1, 0), sat);
   for (; i + 8 <= n; i += 8) {
     const __m128i lo = encode4_avx2(
         _mm256_sub_epi64(delta3_sum_avx2(cur, prev, ppy, ppy1, i),
@@ -472,11 +399,8 @@ __attribute__((target("avx2"))) size_t delta3_encode_avx2(
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm_packus_epi32(lo, hi));
   }
-  for (; i < n; ++i)
-    out[i] = clip_encode_one(cur[i] - cur[i - 1] - prev[i] + prev[i - 1] -
-                                 ppy[i] + ppy[i - 1] + ppy1[i] - ppy1[i - 1],
-                             sat);
-  return sat;
+  return sat + delta3_encode_scalar(cur + i, prev + i, ppy + i, ppy1 + i,
+                                    n - i, true, out + i);
 }
 
 // 32x32 bit transpose via byte-plane extraction: gather byte k of every
@@ -552,7 +476,6 @@ struct KernelOps {
   void (*prequant_f32)(const f32*, size_t, double, i64*);
   void (*prequant_f64)(const f64*, size_t, double, i64*);
   void (*prequant_f32fast)(const f32*, size_t, double, float, i64*);
-  void (*prequant_f64fast)(const f64*, size_t, double, float, i64*);
   size_t (*encode)(const i64*, size_t, u16*);
   void (*transpose)(const u32*, u32*, size_t);
   void (*mark)(const u32*, size_t, u8*, u8*);
@@ -565,8 +488,7 @@ struct KernelOps {
 
 constexpr KernelOps kScalarOps = {
     prequant_row_scalar<f32>, prequant_row_scalar<f64>,
-    prequant_row_f32fast_scalar, prequant_row_f64fast_scalar,
-    encode_row_scalar,
+    prequant_row_f32fast_scalar, encode_row_scalar,
     transpose_unit_scalar, mark_rows_scalar,
     delta1_encode_scalar, delta2_encode_scalar, delta3_encode_scalar,
 };
@@ -576,8 +498,7 @@ KernelOps ops_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::AVX2:
       return {prequant_row_f32_avx2, prequant_row_f64_avx2,
-              prequant_row_f32fast_avx2, prequant_row_f64fast_avx2,
-              encode_row_avx2,
+              prequant_row_f32fast_avx2, encode_row_avx2,
               transpose_unit_avx2, mark_rows_avx2,
               delta1_encode_avx2, delta2_encode_avx2, delta3_encode_avx2};
     default:
@@ -708,22 +629,22 @@ struct StripExtent {
 /// the strip containing element 0.
 template <typename T>
 void run_fused_strip(std::span<const T> data, Dims dims, double inv,
-                     float invf, bool fast, const KernelOps& ops,
-                     const StripExtent& ext, std::span<i64> scratch,
-                     std::span<u32> shuffled, std::span<u8> byte_flags,
-                     std::span<u8> bit_flags, i64* anchor, size_t* saturated,
-                     size_t* halo_out) {
+                     const KernelOps& ops, const StripExtent& ext,
+                     std::span<i64> scratch, std::span<u32> shuffled,
+                     std::span<u8> byte_flags, std::span<u8> bit_flags,
+                     i64* anchor, size_t* saturated, size_t* halo_out) {
+  // f32 takes the margin-tested float row whenever its error analysis
+  // holds, f64 the exact row; both are bit-identical to prequantize.
+  const float invf = static_cast<float>(inv);
+  const bool float_row = f32_fast_ok(inv);
   auto prequant_row = [&](const T* src, size_t n, i64* dst) {
     if constexpr (std::is_same_v<T, f32>) {
-      if (fast)
+      if (float_row)
         ops.prequant_f32fast(src, n, inv, invf, dst);
       else
         ops.prequant_f32(src, n, inv, dst);
     } else {
-      if (fast)
-        ops.prequant_f64fast(src, n, inv, invf, dst);
-      else
-        ops.prequant_f64(src, n, inv, dst);
+      ops.prequant_f64(src, n, inv, dst);
     }
   };
 
@@ -921,8 +842,7 @@ void run_fused_strip(std::span<const T> data, Dims dims, double inv,
 
 template <typename T>
 FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
-                                    double abs_eb, bool f32_fast,
-                                    std::span<u32> shuffled,
+                                    double abs_eb, std::span<u32> shuffled,
                                     std::span<u8> byte_flags,
                                     std::span<u8> bit_flags,
                                     std::span<i64> scratch,
@@ -946,9 +866,7 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
   const size_t per_strip = scratch.size() / strips;
 
   const double inv = 1.0 / (2.0 * abs_eb);
-  const float invf = static_cast<float>(inv);
   const KernelOps ops = ops_for(level);
-  const bool fast = f32_fast && f32_fast_ok(inv);
 
   std::atomic<size_t> saturated{0};
   i64 anchor = 0;  // written only by the strip holding element 0
@@ -962,7 +880,7 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
                        (ext.first_tile + ext.tile_count) * kCodesPerTile);
     telemetry::Span span(sink, "fused-strip");
     size_t sat = 0, halo = 0;
-    run_fused_strip<T>(data, dims, inv, invf, fast, ops, ext,
+    run_fused_strip<T>(data, dims, inv, ops, ext,
                        scratch.subspan(t * per_strip, per_strip), shuffled,
                        byte_flags, bit_flags, &anchor, &sat, &halo);
     saturated.fetch_add(sat, std::memory_order_relaxed);
@@ -1005,23 +923,21 @@ FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers) {
 }
 
 FusedTileResult fused_quant_shuffle_mark_parallel(
-    FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
-    std::span<u32> shuffled, std::span<u8> byte_flags,
-    std::span<u8> bit_flags, std::span<i64> scratch,
-    const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, f32_fast, shuffled,
-                             byte_flags, bit_flags, scratch, plan, level,
-                             sink);
+    FloatSpan data, Dims dims, double abs_eb, std::span<u32> shuffled,
+    std::span<u8> byte_flags, std::span<u8> bit_flags,
+    std::span<i64> scratch, const FusedParallelPlan& plan, SimdLevel level,
+    telemetry::Sink* sink) {
+  return fused_parallel_impl(data, dims, abs_eb, shuffled, byte_flags,
+                             bit_flags, scratch, plan, level, sink);
 }
 
 FusedTileResult fused_quant_shuffle_mark_parallel(
-    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<const f64> data, Dims dims, double abs_eb,
     std::span<u32> shuffled, std::span<u8> byte_flags,
     std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, f32_fast, shuffled,
-                             byte_flags, bit_flags, scratch, plan, level,
-                             sink);
+  return fused_parallel_impl(data, dims, abs_eb, shuffled, byte_flags,
+                             bit_flags, scratch, plan, level, sink);
 }
 
 void prequantize_simd(FloatSpan data, double eb, std::span<i64> out,
@@ -1063,26 +979,6 @@ void prequantize_f32fast(FloatSpan data, double eb, std::span<i64> out,
   }
   parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
     ops.prequant_f32fast(data.data() + b, e - b, inv, invf, out.data() + b);
-  });
-}
-
-void prequantize_f64fast(std::span<const f64> data, double eb,
-                         std::span<i64> out, SimdLevel level) {
-  FZ_REQUIRE(eb > 0, "error bound must be positive");
-  FZ_REQUIRE(data.size() == out.size(), "prequantize: size mismatch");
-  const double inv = 1.0 / (2.0 * eb);
-  const float invf = static_cast<float>(inv);
-  const KernelOps ops = ops_for(level);
-  if (!f32_fast_ok(inv)) {
-    // Same gate as the f32 fast path: a subnormal/zero/infinite fl32(inv)
-    // voids the margin analysis, so every element takes the exact kernel.
-    parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
-      ops.prequant_f64(data.data() + b, e - b, inv, out.data() + b);
-    });
-    return;
-  }
-  parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
-    ops.prequant_f64fast(data.data() + b, e - b, inv, invf, out.data() + b);
   });
 }
 

@@ -10,6 +10,13 @@
 // falling back to scalar llround for any lane group whose magnitude nears
 // 2^50 — so SIMD never changes a compressed stream.
 //
+// Pre-quantization has one row per dtype in the fused kernel.  f32 takes
+// the margin-tested float row (prequantize_f32fast) whenever fl32(1/2eb) is
+// a normal float, and the exact row otherwise; f64 always takes the exact
+// row.  The unfused graph stays on the exact prequantize_simd, so every
+// fused-vs-unfused comparison also checks the float row against the exact
+// one.
+//
 // The fused tile pipeline processes the input in cache-resident 4096-byte
 // tiles (2048 u16 codes): quantize -> Lorenzo delta -> sign-magnitude
 // encode -> 32x32 bit transpose -> zero-block flagging in one pass, so the
@@ -40,29 +47,19 @@ void prequantize_simd(FloatSpan data, double eb, std::span<i64> out,
 void prequantize_simd(std::span<const f64> data, double eb, std::span<i64> out,
                       SimdLevel level);
 
-/// The all-f32 fast path (float multiply + lrintf): no double promotion on
-/// the hot loop, yet *bit-identical* to prequantize at every level.  The
-/// f32 product differs from the double product by at most |x|·2^-23 (two
-/// f32 roundings), so the rounded code can only disagree when the scaled
-/// value lands within that radius of a half-integer boundary — a margin
-/// test detects exactly those lanes (plus everything at |x| ≥ 2^21, where
-/// the margin stops being meaningful, and any eb whose f32 reciprocal is
-/// subnormal/infinite) and routes them through the exact double kernel.
-/// Pinned by QuantizerTest.F32FastPathMatchesExactOnTier1 and the
-/// adversarial sweeps in tests/test_simd.cpp.
+/// The fused kernel's f32 row, standalone (float multiply + lrintf): no
+/// double promotion on the hot loop, yet *bit-identical* to prequantize at
+/// every level.  The f32 product differs from the double product by at
+/// most |x|·2^-23 (two f32 roundings), so the rounded code can only
+/// disagree when the scaled value lands within that radius of a
+/// half-integer boundary — a margin test detects exactly those lanes (plus
+/// everything at |x| ≥ 2^21, where the margin stops being meaningful, and
+/// any eb whose f32 reciprocal is subnormal/infinite) and routes them
+/// through the exact double kernel.  Pinned by
+/// QuantizerTest.F32FastPathMatchesExactOnTier1 and the adversarial sweeps
+/// in tests/test_simd.cpp; bench/regress times it as "prequant-f32fast".
 void prequantize_f32fast(FloatSpan data, double eb, std::span<i64> out,
                          SimdLevel level);
-
-/// The f64 sibling of prequantize_f32fast: narrow the input to f32 once,
-/// then the same float-multiply + lrintf hot loop — still *bit-identical*
-/// to prequantize at every level.  The extra narrowing rounding widens the
-/// margin slope to 2^-21 (three roundings instead of two), and any value
-/// whose f32 image is subnormal-but-nonzero is routed to the exact double
-/// kernel (a value that narrows to exactly 0 stays fast: its scaled
-/// magnitude is provably below 1/2, so 0 is the exact code).  Pinned by
-/// the adversarial sweeps in tests/test_simd.cpp.
-void prequantize_f64fast(std::span<const f64> data, double eb,
-                         std::span<i64> out, SimdLevel level);
 
 /// Vectorized V2 residual encode (sign-magnitude, saturating); returns the
 /// saturation count.  Bit-identical to quant_encode_v2.
@@ -133,21 +130,19 @@ FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
 /// DualQuantStage + BitshuffleMarkStage produce — `shuffled` (total_words
 /// u32), `byte_flags` (one per 16-byte block) and `bit_flags` (packed) —
 /// byte-for-byte for every plan, without ever materializing the i64[count]
-/// pre-quant array.  V2 quantization only.  `f32_fast` opts into the
-/// margin-tested fast-quant row for the overload's dtype; output is
-/// bit-identical either way.  `scratch` must hold plan.scratch_elems i64
-/// (contents need not be initialized); it is sliced per strip, so one
-/// pooled lease serves every worker.  When `sink` is non-null each strip
-/// records a "fused-strip" span (strip id, halo elems, consumed bytes) on
-/// its worker thread.
+/// pre-quant array.  V2 quantization only.  Pre-quantizes through the
+/// dtype's row (see the top of this file).  `scratch` must hold
+/// plan.scratch_elems i64 (contents need not be initialized); it is sliced
+/// per strip, so one pooled lease serves every worker.  When `sink` is
+/// non-null each strip records a "fused-strip" span (strip id, halo elems,
+/// consumed bytes) on its worker thread.
 FusedTileResult fused_quant_shuffle_mark_parallel(
-    FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
-    std::span<u32> shuffled, std::span<u8> byte_flags,
-    std::span<u8> bit_flags, std::span<i64> scratch,
-    const FusedParallelPlan& plan, SimdLevel level,
+    FloatSpan data, Dims dims, double abs_eb, std::span<u32> shuffled,
+    std::span<u8> byte_flags, std::span<u8> bit_flags,
+    std::span<i64> scratch, const FusedParallelPlan& plan, SimdLevel level,
     telemetry::Sink* sink = nullptr);
 FusedTileResult fused_quant_shuffle_mark_parallel(
-    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<const f64> data, Dims dims, double abs_eb,
     std::span<u32> shuffled, std::span<u8> byte_flags,
     std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level,

@@ -15,10 +15,13 @@ namespace {
 //   2-D: d[x,y]   = p[x,y] - p[x-1,y] - p[x,y-1] + p[x-1,y-1]
 //   3-D: d[x,y,z] = Σ over the 2^3 corner offsets with alternating signs.
 // Out-of-range neighbours are 0 (the standard Lorenzo boundary handling).
+// The sums are modulo 2^64 (see wrapping_add), the same as the fused
+// kernel's: an eb tiny against the data sends llround to the ends of the
+// i64 range.
 
 void forward_1d(std::span<const i64> p, size_t nx, std::span<i64> d) {
   // Process backwards so the in-place case (d == p) stays correct.
-  for (size_t x = nx; x-- > 1;) d[x] = p[x] - p[x - 1];
+  for (size_t x = nx; x-- > 1;) d[x] = wrapping_sub(p[x], p[x - 1]);
   d[0] = p[0];
 }
 
@@ -31,7 +34,8 @@ void forward_2d(std::span<const i64> p, size_t nx, size_t ny, std::span<i64> d) 
       const i64 w = x > 0 ? at(x - 1, y) : 0;
       const i64 n = y > 0 ? at(x, y - 1) : 0;
       const i64 nw = (x > 0 && y > 0) ? at(x - 1, y - 1) : 0;
-      d[x + nx * y] = p[x + nx * y] - w - n + nw;
+      d[x + nx * y] =
+          wrapping_add(wrapping_sub(wrapping_sub(p[x + nx * y], w), n), nw);
     }
   }
 }
@@ -45,13 +49,14 @@ void forward_3d(std::span<const i64> p, size_t nx, size_t ny, size_t nz,
     for (size_t y = ny; y-- > 0;) {
       for (size_t x = nx; x-- > 0;) {
         i64 v = at(x, y, z);
-        if (x > 0) v -= at(x - 1, y, z);
-        if (y > 0) v -= at(x, y - 1, z);
-        if (z > 0) v -= at(x, y, z - 1);
-        if (x > 0 && y > 0) v += at(x - 1, y - 1, z);
-        if (x > 0 && z > 0) v += at(x - 1, y, z - 1);
-        if (y > 0 && z > 0) v += at(x, y - 1, z - 1);
-        if (x > 0 && y > 0 && z > 0) v -= at(x - 1, y - 1, z - 1);
+        if (x > 0) v = wrapping_sub(v, at(x - 1, y, z));
+        if (y > 0) v = wrapping_sub(v, at(x, y - 1, z));
+        if (z > 0) v = wrapping_sub(v, at(x, y, z - 1));
+        if (x > 0 && y > 0) v = wrapping_add(v, at(x - 1, y - 1, z));
+        if (x > 0 && z > 0) v = wrapping_add(v, at(x - 1, y, z - 1));
+        if (y > 0 && z > 0) v = wrapping_add(v, at(x, y - 1, z - 1));
+        if (x > 0 && y > 0 && z > 0)
+          v = wrapping_sub(v, at(x - 1, y - 1, z - 1));
         d[x + nx * (y + ny * z)] = v;
       }
     }

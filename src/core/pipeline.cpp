@@ -30,6 +30,12 @@ ParamError::ParamError(std::vector<ParamIssue> issues)
 
 std::vector<ParamIssue> FzParams::validate() const {
   std::vector<ParamIssue> issues;
+  // An unknown mode must not fall through to some default: the service's
+  // per-tenant bound floors are keyed by mode.
+  if (eb.mode != ErrorBoundMode::Absolute &&
+      eb.mode != ErrorBoundMode::Relative &&
+      eb.mode != ErrorBoundMode::PointwiseRelative)
+    issues.push_back({"eb", "unknown error-bound mode"});
   if (!std::isfinite(eb.value) || eb.value <= 0) {
     issues.push_back({"eb", "error bound must be a positive finite value"});
   } else if (eb.mode == ErrorBoundMode::PointwiseRelative && eb.value >= 1) {
@@ -39,11 +45,6 @@ std::vector<ParamIssue> FzParams::validate() const {
   }
   if (quant != QuantVersion::V1Original && quant != QuantVersion::V2Optimized)
     issues.push_back({"quant", "unknown quantizer version"});
-  // V1 codes are radius-shifted into u16 with code 0 reserved for
-  // outliers: the radius must leave both headroom and the reserved slot.
-  if (quant == QuantVersion::V1Original && (radius < 1 || radius > 32767))
-    issues.push_back({"radius", "V1 radius must be in [1, 32767] (codes "
-                                "are radius-shifted 16-bit values)"});
   if (static_cast<u8>(simd) > static_cast<u8>(SimdDispatch::AVX2))
     issues.push_back({"simd", "unknown SIMD dispatch tier"});
   return issues;

@@ -43,7 +43,7 @@ enum class QuantVersion : u8 {
 
 /// One problem found by FzParams::validate(): which field is wrong and why.
 struct ParamIssue {
-  const char* field;    ///< parameter name ("eb", "radius", "dims", ...)
+  const char* field;    ///< parameter name ("eb", "quant", "dims", ...)
   std::string message;  ///< human-readable explanation
 };
 
@@ -64,10 +64,8 @@ struct FzParams {
   ErrorBound eb = ErrorBound::relative(1e-3);
   /// Also picks the host graph (core/stages.hpp): V2 compresses and
   /// decompresses through the fused tile-parallel graph, V1 through the
-  /// unfused stage graph.
+  /// unfused stage graph, with the fixed radius kV1Radius.
   QuantVersion quant = QuantVersion::V2Optimized;
-  /// V1-only: quantization radius.
-  u32 radius = 512;
   /// Host execution: worker count for the fused passes' strips — the
   /// tile-parallel compress pass and the decode strips of a V2 decompress
   /// (and the chunked inverse-Lorenzo scans of a V1 decompress).  0 = one
@@ -82,23 +80,6 @@ struct FzParams {
   /// from the FZ_SIMD env var / CPUID; every tier is bit-identical, so this
   /// never changes the stream either.
   SimdDispatch simd = SimdDispatch::Auto;
-  /// f32 inputs only: quantize with a float multiply + lrintf instead of
-  /// the double-promoted llround.  A margin test routes any value whose
-  /// scaled magnitude nears a rounding boundary (or 2^21) through the
-  /// exact path, so compressed streams are byte-identical to the default
-  /// path.  On decompress, reconstruction uses a float product while
-  /// |p| < 2^24 — values may differ from the default path by an f32 ulp
-  /// (the bound still holds up to f32 representation precision), which is
-  /// why this stays opt-in.
-  bool f32_fast_quant = false;
-  /// f64 inputs only: the same margin-tested fast-quant scheme, narrowing
-  /// the input to f32 before the float multiply + lrintf.  The extra
-  /// narrowing rounding widens the margin, and any value whose f32 image
-  /// is subnormal-but-nonzero takes the exact path, so compressed streams
-  /// stay byte-identical to the default path.  Reconstruction is unchanged
-  /// (exact double arithmetic), so unlike f32_fast_quant this flag never
-  /// affects decompressed values.
-  bool f64_fast_quant = false;
   /// Observability sink (src/telemetry/): when set, every stage, chunk, and
   /// pool interaction records spans/counters into it.  The sink must be
   /// thread-safe (fz::telemetry::Sink is); it must outlive every codec that
@@ -200,7 +181,7 @@ struct StreamInfo {
   QuantVersion quant = QuantVersion::V2Optimized;
   double abs_eb = 0;
   bool log_transform = false;  ///< point-wise relative bound (log domain)
-  u32 radius = 0;              ///< V1 only
+  u32 radius = 0;              ///< V1 only (kV1Radius for streams made here)
 
   // Section layout, in stream order; header_bytes + bit_flag_bytes +
   // block_bytes + outlier_bytes == stream_bytes.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cfloat>
 #include <cmath>
 
 #include "common/bits.hpp"
@@ -29,35 +28,16 @@ void prequantize_impl(std::span<const T> data, double eb, std::span<i64> out) {
   });
 }
 
-/// The reconstruction expressions: d̂ = p · 2eb in double, rounded once.
-template <typename T>
-struct ExactDequant {
-  double scale;
-  T operator()(i64 v) const {
-    return static_cast<T>(static_cast<double>(v) * scale);
-  }
-};
-
-/// dequantize_f32fast's expression: a float product while float(p) is
-/// exact, the double one otherwise.
-struct FastDequantF32 {
-  static constexpr i64 kExactF32 = i64{1} << 24;  // float(p) exact below
-  double scale;
-  f32 scalef;
-  f32 operator()(i64 v) const {
-    return (v > -kExactF32 && v < kExactF32)
-               ? static_cast<f32>(v) * scalef
-               : static_cast<f32>(static_cast<double>(v) * scale);
-  }
-};
-
-/// out[i] = dq(p[i]), plus the strip carry of i under a multi-strip plan
+/// out[i] = p[i] · 2eb, plus the strip carry of i under a multi-strip plan
 /// (see StripPlan).  One parallel pass either way.
-template <typename T, typename Dequant>
-void dequantize_impl(std::span<const i64> p, std::span<T> out,
-                     const StripPlan& plan, std::span<const i64> carries,
-                     Dequant dq) {
+template <typename T>
+void dequantize_impl(std::span<const i64> p, double eb, std::span<T> out,
+                     const StripPlan& plan, std::span<const i64> carries) {
   FZ_REQUIRE(p.size() == out.size(), "dequantize: size mismatch");
+  const double scale = 2.0 * eb;
+  const auto dq = [scale](i64 v) {
+    return static_cast<T>(static_cast<double>(v) * scale);
+  };
   if (plan.strips <= 1) {
     parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) out[i] = dq(p[i]);
@@ -104,24 +84,11 @@ void prequantize(std::span<const f64> data, double eb, std::span<i64> out) {
 
 void dequantize(std::span<const i64> p, double eb, std::span<f32> out,
                 const StripPlan& plan, std::span<const i64> carries) {
-  dequantize_impl(p, out, plan, carries, ExactDequant<f32>{2.0 * eb});
+  dequantize_impl(p, eb, out, plan, carries);
 }
 void dequantize(std::span<const i64> p, double eb, std::span<f64> out,
                 const StripPlan& plan, std::span<const i64> carries) {
-  dequantize_impl(p, out, plan, carries, ExactDequant<f64>{2.0 * eb});
-}
-
-void dequantize_f32fast(std::span<const i64> p, double eb, std::span<f32> out,
-                        const StripPlan& plan, std::span<const i64> carries) {
-  const double scale = 2.0 * eb;
-  // The fast product needs a normal, finite f32 scale; fall back to the
-  // exact expression when 2·eb rounds to zero/subnormal/inf in f32.
-  if (!(scale >= FLT_MIN && scale <= FLT_MAX)) {
-    dequantize_impl(p, out, plan, carries, ExactDequant<f32>{scale});
-    return;
-  }
-  dequantize_impl(p, out, plan, carries,
-                  FastDequantF32{scale, static_cast<f32>(scale)});
+  dequantize_impl(p, eb, out, plan, carries);
 }
 
 size_t quant_encode_v2(std::span<const i64> deltas, std::span<u16> codes) {

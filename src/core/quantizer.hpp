@@ -8,7 +8,14 @@
 //  * V1 ("original", cuSZ-style, used by the ablation and the cuSZ
 //    baseline): residuals inside (-radius, radius) are shifted by +radius
 //    into [1, 2·radius); residuals outside are recorded as outliers
-//    (index + pre-quantized value) and their code is 0.
+//    (index + pre-quantized value) and their code is 0.  The codec
+//    compresses V1 with the fixed radius kV1Radius.
+//
+// Each direction has one expression.  Pre-quantization is
+// llround(d / 2eb); every SIMD row in core/kernels_simd.hpp reproduces it
+// bit for bit, including the margin-tested float row the fused kernel
+// uses for f32.  Reconstruction is the double product in dequantize.  No
+// host setting changes a stream or a restored value.
 #pragma once
 
 #include <span>
@@ -38,23 +45,14 @@ struct StripPlan {
   size_t carry_elems() const { return (strips - 1) * plane_elems; }
 };
 
-/// Reconstruction: d̂_i = p_i · 2eb.  With a multi-strip `plan`, element i
-/// of strip s >= 1 reconstructs from p_i + carries[(s - 1) * plane_elems +
-/// i % plane_elems] instead (carries.size() == plan.carry_elems()).
+/// Reconstruction: d̂_i = p_i · 2eb, in double, rounded once to the output
+/// type.  With a multi-strip `plan`, element i of strip s >= 1
+/// reconstructs from p_i + carries[(s - 1) * plane_elems + i % plane_elems]
+/// instead (carries.size() == plan.carry_elems()).
 void dequantize(std::span<const i64> p, double eb, std::span<f32> out,
                 const StripPlan& plan = {}, std::span<const i64> carries = {});
 void dequantize(std::span<const i64> p, double eb, std::span<f64> out,
                 const StripPlan& plan = {}, std::span<const i64> carries = {});
-
-/// All-f32 reconstruction fast path: float(p_i) · float(2eb) while
-/// |p_i| < 2^24 (where float(p_i) is exact), the double expression above
-/// otherwise.  Differs from dequantize by at most the product's f32
-/// rounding — the reconstruction still honours the error bound (pinned by
-/// QuantizerTest.F32FastDequantHonoursBound).  Selected by
-/// FzParams::f32_fast_quant.  Strip carries as for dequantize.
-void dequantize_f32fast(std::span<const i64> p, double eb, std::span<f32> out,
-                        const StripPlan& plan = {},
-                        std::span<const i64> carries = {});
 
 // ---- V2: optimized (sign-magnitude, saturating) ----------------------------
 
@@ -78,13 +76,18 @@ struct Outlier {
   i64 delta;
 };
 
+/// The radius V1 compresses with (the stream header records it, so decode
+/// honours any radius a stream carries).
+inline constexpr u32 kV1Radius = 512;
+
 struct QuantV1Result {
   std::vector<u16> codes;  ///< δ + radius in [1, 2·radius), 0 = outlier
   std::vector<Outlier> outliers;
-  u32 radius = 512;
+  u32 radius = kV1Radius;
 };
 
-QuantV1Result quant_encode_v1(std::span<const i64> deltas, u32 radius = 512);
+QuantV1Result quant_encode_v1(std::span<const i64> deltas,
+                              u32 radius = kV1Radius);
 void quant_decode_v1(const QuantV1Result& q, std::span<i64> deltas);
 
 /// Codes-into-caller-storage variant (codes.size() == deltas.size()).

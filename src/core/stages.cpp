@@ -34,7 +34,6 @@ void PipelineContext::begin_compress(BufferPool* p, const FzParams& run_params,
   header = {};
   sec_bit_flags = sec_blocks = sec_outliers = {};
   anchor = 0;
-  radius = 0;
   outliers.clear();
   nonzero_blocks = 0;
   decode_plan = {};
@@ -50,8 +49,6 @@ void PipelineContext::begin_decompress(BufferPool* p,
   // Host execution knobs survive into the decompress stages; the
   // stream-derived fields (quant, eb, ...) are filled by ParseHeaderStage.
   params.simd = run_params.simd;
-  params.f32_fast_quant = run_params.f32_fast_quant;
-  params.f64_fast_quant = run_params.f64_fast_quant;
   params.fused_workers = run_params.fused_workers;
   dims = {};
   count = n;
@@ -65,7 +62,6 @@ void PipelineContext::begin_decompress(BufferPool* p,
   header = {};
   sec_bit_flags = sec_blocks = sec_outliers = {};
   anchor = 0;
-  radius = 0;
   outliers.clear();
   nonzero_blocks = 0;
   decode_plan = {};
@@ -182,13 +178,7 @@ class DualQuantStage final : public Stage {
     ctx.pq = ctx.pool->acquire(ctx.count * sizeof(i64), false);
     const std::span<i64> pq = ctx.pq.as<i64>();
     if (ctx.dtype == sizeof(f64)) {
-      if (ctx.params.f64_fast_quant) {
-        prequantize_f64fast(source<f64>(ctx), ctx.abs_eb, pq, level);
-      } else {
-        prequantize_simd(source<f64>(ctx), ctx.abs_eb, pq, level);
-      }
-    } else if (ctx.params.f32_fast_quant) {
-      prequantize_f32fast(source<f32>(ctx), ctx.abs_eb, pq, level);
+      prequantize_simd(source<f64>(ctx), ctx.abs_eb, pq, level);
     } else {
       prequantize_simd(source<f32>(ctx), ctx.abs_eb, pq, level);
     }
@@ -204,11 +194,8 @@ class DualQuantStage final : public Stage {
     if (ctx.params.quant == QuantVersion::V2Optimized) {
       ctx.stats.saturated =
           quant_encode_v2_simd(pq, codes.first(ctx.count), level);
-      ctx.radius = 0;
     } else {
-      quant_encode_v1(pq, ctx.params.radius, codes.first(ctx.count),
-                      ctx.outliers);
-      ctx.radius = ctx.params.radius;
+      quant_encode_v1(pq, kV1Radius, codes.first(ctx.count), ctx.outliers);
       ctx.stats.outliers = ctx.outliers.size();
     }
     // Zero the tile padding: it bitshuffles to zero blocks.
@@ -267,17 +254,16 @@ class FusedQuantShuffleMarkStage final : public Stage {
         ctx.dtype == sizeof(f64)
             ? fused_quant_shuffle_mark_parallel(
                   source<f64>(ctx), ctx.dims, ctx.abs_eb,
-                  ctx.params.f64_fast_quant, ctx.shuffled.as<u32>(),
-                  ctx.byte_flags.as<u8>(), ctx.bit_flags.as<u8>(),
-                  ctx.row_scratch.as<i64>(), plan, level, ctx.sink)
+                  ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
+                  ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan,
+                  level, ctx.sink)
             : fused_quant_shuffle_mark_parallel(
                   source<f32>(ctx), ctx.dims, ctx.abs_eb,
-                  ctx.params.f32_fast_quant, ctx.shuffled.as<u32>(),
-                  ctx.byte_flags.as<u8>(), ctx.bit_flags.as<u8>(),
-                  ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
+                  ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
+                  ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan,
+                  level, ctx.sink);
     ctx.anchor = r.anchor;
     ctx.stats.saturated = r.saturated;
-    ctx.radius = 0;
   }
 
  private:
@@ -328,7 +314,7 @@ class AssembleStage final : public Stage {
     h.nz = ctx.dims.z;
     h.count = ctx.count;
     h.abs_eb = ctx.abs_eb;
-    h.radius = ctx.radius;
+    h.radius = ctx.params.quant == QuantVersion::V1Original ? kV1Radius : 0;
     h.anchor = ctx.anchor;
     h.saturated = ctx.stats.saturated;
     h.outlier_count = ctx.outliers.size();
@@ -377,7 +363,6 @@ class ParseHeaderStage final : public Stage {
     ctx.params.quant = static_cast<QuantVersion>(h.quant);
     ctx.abs_eb = h.abs_eb;
     ctx.log_transform = h.transform == kTransformLog;
-    ctx.radius = h.radius;
 
     const size_t total_words = ctx.total_words();
     FZ_FORMAT_REQUIRE(
@@ -450,7 +435,7 @@ class InverseQuantStage final : public Stage {
     if (ctx.params.quant == QuantVersion::V2Optimized) {
       quant_decode_v2(codes, pq);
     } else {
-      const i64 radius = ctx.radius;
+      const i64 radius = ctx.header.radius;
       parallel_chunks(ctx.count, size_t{1} << 16, [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i)
           pq[i] = static_cast<i64>(codes[i]) - radius;  // code 0 fixed below
@@ -526,16 +511,7 @@ class ReconstructStage final : public Stage {
   static void run_impl(PipelineContext& ctx) {
     const std::span<T> out = ctx.output_as<T>();
     const std::span<const i64> pq = ctx.pq.as<i64>();
-    const std::span<const i64> carries = ctx.carries.as<i64>();
-    if constexpr (std::is_same_v<T, f32>) {
-      if (ctx.params.f32_fast_quant) {
-        dequantize_f32fast(pq, ctx.abs_eb, out, ctx.decode_plan, carries);
-      } else {
-        dequantize(pq, ctx.abs_eb, out, ctx.decode_plan, carries);
-      }
-    } else {
-      dequantize(pq, ctx.abs_eb, out, ctx.decode_plan, carries);
-    }
+    dequantize(pq, ctx.abs_eb, out, ctx.decode_plan, ctx.carries.as<i64>());
     if (!ctx.log_transform) return;
     parallel_chunks(out.size(), size_t{1} << 14, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i)

@@ -90,7 +90,6 @@ struct PipelineContext {
 
   // ---- data-dependent results ---------------------------------------------
   i64 anchor = 0;
-  u32 radius = 0;
   std::vector<Outlier> outliers;  ///< V1 only; capacity reused across runs
   size_t nonzero_blocks = 0;
   /// Fused decompress: the strips `pq` holds local prefix sums over, whose
@@ -120,7 +119,7 @@ struct PipelineContext {
                       size_t n, u8 run_dtype, const void* data,
                       std::vector<u8>* out);
   /// Prepare the context for a decompression run.  `run_params` carries
-  /// only the host execution knobs (simd, fast-quant, fused_workers);
+  /// only the host execution knobs (simd, fused_workers);
   /// everything stream-related comes from the parsed header.
   void begin_decompress(BufferPool* p, const FzParams& run_params,
                         ByteSpan run_stream, size_t n, u8 run_dtype,

@@ -29,15 +29,13 @@ std::vector<u8> reference_compress(std::span<const T> data, Dims dims,
   return out;
 }
 
-/// `params` carries the host knobs a decompress honours (f32_fast_quant
-/// changes the reconstruction expression).
 template <typename T>
-std::vector<T> reference_decompress(ByteSpan stream, size_t count,
-                                    const FzParams& params = {}) {
+std::vector<T> reference_decompress(ByteSpan stream, size_t count) {
   BufferPool pool;
   PipelineContext ctx;
   std::vector<T> out(count);
-  ctx.begin_decompress(&pool, params, stream, count, sizeof(T), out.data());
+  ctx.begin_decompress(&pool, FzParams{}, stream, count, sizeof(T),
+                       out.data());
   run_stages(make_decompress_stages(), ctx);
   return out;
 }
@@ -80,7 +78,7 @@ inline FusedTileResult fused_one_worker(FloatSpan data, Dims dims,
                                         std::span<u8> bit_flags) {
   const FusedParallelPlan plan = fused_parallel_plan(dims, 1);
   std::vector<i64> scratch(plan.scratch_elems);
-  return fused_quant_shuffle_mark_parallel(data, dims, abs_eb, false, shuffled,
+  return fused_quant_shuffle_mark_parallel(data, dims, abs_eb, shuffled,
                                            byte_flags, bit_flags, scratch, plan,
                                            SimdLevel::Scalar);
 }

@@ -325,39 +325,5 @@ TEST(Codec, V1NeedsNoCompanionSetting) {
   EXPECT_TRUE(error_bounded(f.values(), rt.data, c.stats.abs_eb));
 }
 
-TEST(Codec, F32FastQuantKeepsStreamsIdenticalAndBounded) {
-  // The f32 fast-quant path's margin test routes boundary-adjacent values
-  // through the exact kernel, so the compressed stream is byte-identical
-  // to the default path; reconstruction may differ by an f32 ulp but must
-  // stay inside the bound.
-  const Field f = noisy_field(Dims{64, 48, 5}, 53);
-  double max_abs = 0;
-  for (const f32 v : f.data) max_abs = std::max(max_abs, std::fabs(double{v}));
-  for (const double rel : {1e-2, 1e-3, 1e-4}) {
-    FzParams slow;
-    slow.eb = ErrorBound::relative(rel);
-    FzParams fast = slow;
-    fast.f32_fast_quant = true;
-    Codec cs(slow), cf(fast);
-    const auto a = cs.compress(f.values(), f.dims);
-    const auto b = cf.compress(f.values(), f.dims);
-    ASSERT_EQ(a.bytes, b.bytes) << "rel=" << rel;
-
-    // The fast dequant's extra rounding is relative to the value itself
-    // (float(2eb) carries a 2^-24 relative error): reconstructions differ
-    // from the default path by f32 representation noise only.
-    const FzDecompressed slow_rt = cs.decompress(b.bytes);
-    const FzDecompressed fast_rt = cf.decompress(b.bytes);
-    for (size_t i = 0; i < f.data.size(); ++i)
-      ASSERT_NEAR(fast_rt.data[i], slow_rt.data[i], max_abs * 0x1p-22)
-          << "rel=" << rel << " i=" << i;
-    if (b.stats.saturated == 0) {
-      EXPECT_TRUE(error_bounded(f.values(), fast_rt.data,
-                                b.stats.abs_eb + max_abs * 0x1p-22))
-          << "rel=" << rel;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace fz

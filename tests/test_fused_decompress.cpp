@@ -115,20 +115,18 @@ void expect_bits_equal(std::span<const T> a, std::span<const T> b,
 // ---- fused vs classic graph: byte identity across every schedule ----------
 
 template <typename T>
-void sweep_dtype(SimdDispatch tier, Dims dims, bool f32_fast = false) {
+void sweep_dtype(SimdDispatch tier, Dims dims) {
   const std::vector<T> data = field<T>(dims, dims.count());
   FzParams cp;
   cp.eb = ErrorBound::absolute(1e-3);
   cp.simd = tier;
   cp.fused_workers = 1;
-  cp.f32_fast_quant = f32_fast;
   Codec compressor(cp);
   const FzCompressed c =
       compressor.compress(std::span<const T>{data}, dims);
 
   // Reference: the classic staged graph (scatter-unshuffle / inverse-quant).
-  const std::vector<T> want =
-      reference_decompress<T>(c.bytes, data.size(), cp);
+  const std::vector<T> want = reference_decompress<T>(c.bytes, data.size());
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     FzParams dp = cp;
@@ -149,13 +147,6 @@ TEST(FusedDecompress, MatchesUnfusedForEveryScheduleDtypeAndRank) {
       sweep_dtype<f32>(tier, dims);
       sweep_dtype<f64>(tier, dims);
     }
-}
-
-TEST(FusedDecompress, F32FastReconstructMatchesReferenceAcrossStrips) {
-  // The strip carries join the fast f32 reconstruction expression too.
-  for (const SimdDispatch tier : tiers_under_test())
-    for (const Dims dims : {Dims{20011}, Dims{3000, 7}, Dims{37, 29, 11}})
-      sweep_dtype<f32>(tier, dims, /*f32_fast=*/true);
 }
 
 TEST(FusedDecompress, DecodePlanReachesTheBoundaryShapes) {

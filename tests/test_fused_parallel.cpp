@@ -65,7 +65,7 @@ FusedOut run_parallel(std::span<const T> data, Dims dims, double eb,
   o.bit_flags.assign(div_ceil(o.byte_flags.size(), 8), 0xcd);
   const FusedParallelPlan plan = fused_parallel_plan(dims, workers);
   std::vector<i64> scratch(plan.scratch_elems, -1);
-  o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, false, o.shuffled,
+  o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, o.shuffled,
                                             o.byte_flags, o.bit_flags, scratch,
                                             plan, level, sink);
   return o;

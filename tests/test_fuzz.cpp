@@ -16,6 +16,8 @@
 #include "datasets/generators.hpp"
 #include "metrics/metrics.hpp"
 #include "reader/reader.hpp"
+#include "service/service.hpp"
+#include "service/wire.hpp"
 #include "substrate/bitio.hpp"
 #include "substrate/histogram.hpp"
 #include "substrate/huffman.hpp"
@@ -346,6 +348,80 @@ TEST(Fuzz, ZfpHostileInputs) {
     bad[rng.below(bad.size())] ^= static_cast<u8>(1u << rng.below(8));
     expect_graceful([&] { zfp_decompress(bad); }, "zfp bitflip");
   }
+}
+
+TEST(Fuzz, WireDecodeRequestHostileFrames) {
+  // Every hostile frame either fails to decode or decodes to a Request that
+  // re-encodes to the same bytes.  Whatever decodes goes on to a one-worker
+  // Service, whose admission checks and codec must answer with a Status.
+  const Field f = generate_field(Dataset::CESM, Dims{24, 16}, 5);
+  Request valid;
+  valid.kind = JobKind::Compress;
+  valid.tenant = 3;
+  valid.eb = ErrorBound::relative(1e-3);
+  valid.dims = f.dims;
+  const u8* samples = reinterpret_cast<const u8*>(f.data.data());
+  valid.payload.assign(samples, samples + f.data.size() * sizeof(f32));
+  std::vector<u8> framed;
+  wire::encode_request(valid, framed);
+  const std::vector<u8> frame(framed.begin() + sizeof(u32), framed.end());
+
+  Service::Options opt;
+  opt.workers = 1;
+  Service service(opt);
+  Request req;
+  Response resp;
+  std::vector<u8> again;
+  size_t decoded = 0;
+  const auto probe = [&](const std::vector<u8>& input,
+                         const std::string& what) {
+    if (!wire::decode_request(input, req).ok()) return;
+    ++decoded;
+    again.clear();
+    wire::encode_request(req, again);
+    ASSERT_EQ(again.size(), sizeof(u32) + input.size()) << what;
+    EXPECT_EQ(std::memcmp(again.data() + sizeof(u32), input.data(),
+                          input.size()),
+              0)
+        << what;
+    const Status s = service.submit(req, resp);
+    EXPECT_EQ(s.code(), resp.status.code()) << what;
+  };
+
+  constexpr size_t kHeader = sizeof(wire::RequestHeader);
+  for (size_t bit = 0; bit < kHeader * 8; ++bit) {
+    std::vector<u8> bad = frame;
+    bad[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    probe(bad, "flip of header bit " + std::to_string(bit));
+  }
+  for (size_t keep = 0; keep < frame.size(); ++keep)
+    probe(std::vector<u8>(frame.begin(),
+                          frame.begin() + static_cast<long>(keep)),
+          "truncation to " + std::to_string(keep));
+  Rng rng(77);
+  for (u64 seed = 0; seed < 200; ++seed) {
+    const size_t samples_n = rng.below(4) == 0 ? 0 : 1 + rng.below(64);
+    std::vector<u8> junk =
+        random_bytes(kHeader + samples_n * sizeof(f32), 900 + seed);
+    if (seed % 2 == 0) {
+      // Valid framing and a small job kind, so the random fields behind
+      // them reach the service; every fourth frame also gets dims that
+      // match its payload.
+      wire::RequestHeader h;
+      std::memcpy(&h, junk.data(), kHeader);
+      h.magic = wire::kRequestMagic;
+      h.version = wire::kWireVersion;
+      h.kind = static_cast<u8>(h.kind % 8);
+      h.payload_bytes = samples_n * sizeof(f32);
+      if (seed % 4 == 0) {
+        h.nx = samples_n;
+        h.ny = h.nz = 1;
+      }
+      std::memcpy(junk.data(), &h, kHeader);
+    }
+    probe(junk, "random frame " + std::to_string(seed));
+  }
+  EXPECT_GT(decoded, size_t{100});
 }
 
 TEST(Fuzz, CompressRejectsNonFiniteData) {

@@ -462,7 +462,7 @@ TEST(PipelineFormat, StructuredInspectCoversV1AndLogTransform) {
   const FzCompressed c1 = fz_compress(f.values(), f.dims, v1);
   const StreamInfo i1 = inspect(c1.bytes);
   EXPECT_EQ(i1.quant, QuantVersion::V1Original);
-  EXPECT_EQ(i1.radius, v1.radius);
+  EXPECT_EQ(i1.radius, kV1Radius);
   EXPECT_EQ(i1.header_bytes + i1.bit_flag_bytes + i1.block_bytes +
                 i1.outlier_bytes,
             i1.stream_bytes);
@@ -498,11 +498,14 @@ TEST(PipelineParams, ValidateReturnsOneIssuePerProblem) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.radius = 40000;
-  ASSERT_EQ(v1.validate().size(), 1u);
-  EXPECT_STREQ(v1.validate()[0].field, "radius");
-  v1.radius = 512;
   EXPECT_TRUE(v1.validate().empty());  // V1 needs no companion setting
+
+  // A mode outside the three enumerators is an eb problem, not a default
+  // to some mode.
+  FzParams mode;
+  mode.eb = {static_cast<ErrorBoundMode>(7), 1e-9};
+  ASSERT_EQ(mode.validate().size(), 1u);
+  EXPECT_STREQ(mode.validate()[0].field, "eb");
 
   EXPECT_STREQ(good.validate(Dims{0, 4}).at(0).field, "dims");
   EXPECT_STREQ(good.validate(Dims{SIZE_MAX / 2, 3}).at(0).field, "dims");
@@ -526,6 +529,10 @@ TEST(PipelineParams, CodecConstructionThrowsStructuredParamError) {
   }
   // ParamError is an fz::Error, so existing catch sites keep working.
   EXPECT_THROW(fz_compress(std::vector<f32>(8, 1.0f), Dims{8}, bad), Error);
+
+  FzParams mode;
+  mode.eb = {static_cast<ErrorBoundMode>(7), 1e-3};
+  EXPECT_THROW(Codec{mode}, ParamError);
 }
 
 }  // namespace

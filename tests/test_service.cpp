@@ -312,6 +312,9 @@ TEST(Service, TenantPolicyIsEnforced) {
   Request req = compress_request(f, ErrorBound::relative(1e-6));
   req.tenant = 42;
   EXPECT_EQ(service.submit(req, resp).code(), StatusCode::PolicyDenied);
+  // ...an unknown mode (the floors are keyed by mode) is invalid...
+  req.eb = {static_cast<ErrorBoundMode>(7), 1e-9};
+  EXPECT_EQ(service.submit(req, resp).code(), StatusCode::InvalidParams);
   // ...the floor itself is allowed...
   req.eb = ErrorBound::relative(1e-4);
   EXPECT_TRUE(service.submit(req, resp).ok());
@@ -335,6 +338,7 @@ TEST(Service, TenantPolicyIsEnforced) {
   EXPECT_TRUE(service.submit(req, resp).ok());
 
   EXPECT_EQ(service.counters().rejected_policy, 2u);
+  EXPECT_EQ(service.counters().rejected_invalid, 1u);
 }
 
 TEST(Service, FullQueueRejectsWithQueueFullStatus) {

@@ -163,66 +163,6 @@ TEST(SimdPrequant, F32FastPathMatchesExactPathEverywhere) {
   }
 }
 
-TEST(SimdPrequant, F64FastPathMatchesExactPathEverywhere) {
-  // The f64 sibling: narrowing to f32 adds a third rounding, so the margin
-  // slope is wider (2^-21), and values whose f32 image is subnormal (but
-  // not zero) must fall back to the exact kernel.  Same contract: equal to
-  // the exact double path on every input, every level.
-  for (const double eb : {0.5, 1e-3, 0.37, 1e-7, 1e45, 1e-45}) {
-    for (const size_t n : kSizes) {
-      Rng rng(67 * n + 11);
-      std::vector<f64> data(n);
-      for (size_t i = 0; i < n; ++i) {
-        switch (rng.below(4)) {
-          case 0: {
-            // Land near a half-integer boundary after scaling — inside the
-            // narrowing-rounding radius, where the margin must reject.
-            const double k = static_cast<double>(rng.below(100000));
-            data[i] = (k + 0.5) * 2.0 * eb * (1.0 + rng.uniform(-1e-8, 1e-8));
-            break;
-          }
-          case 1:
-            // Magnitudes whose f32 image is subnormal or flushes to zero:
-            // the subnormal guard and the narrows-to-zero proof.
-            data[i] = rng.uniform(-1.0, 1.0) * 1e-40;
-            break;
-          default:
-            data[i] = rng.uniform(-3e6, 3e6) * 2.0 * eb;
-            break;
-        }
-      }
-      std::vector<i64> want(n);
-      prequantize(std::span<const f64>{data}, eb, want);
-      for (const SimdLevel level : levels_under_test()) {
-        std::vector<i64> got(n, -999);
-        prequantize_f64fast(std::span<const f64>{data}, eb, got, level);
-        ASSERT_EQ(want, got) << simd_level_name(level) << " n=" << n
-                             << " eb=" << eb;
-      }
-    }
-  }
-}
-
-TEST(SimdPrequant, F64FastPathHandlesNonFiniteAndExtremes) {
-  // NaN/inf lanes must route through the exact kernel (unordered compares),
-  // and huge magnitudes must fail the range test rather than overflow the
-  // f32 convert.
-  const std::vector<f64> data = {
-      std::numeric_limits<f64>::quiet_NaN(),
-      std::numeric_limits<f64>::infinity(),
-      -std::numeric_limits<f64>::infinity(),
-      1e300,  -1e300, 1e38,   -1e38,  4.2,   -4.2,
-      0.0,    -0.0,   5e-324, -5e-324, 1e-45, 2097151.4, -2097152.6};
-  const double eb = 0.5;
-  std::vector<i64> want(data.size());
-  prequantize(std::span<const f64>{data}, eb, want);
-  for (const SimdLevel level : levels_under_test()) {
-    std::vector<i64> got(data.size(), -999);
-    prequantize_f64fast(std::span<const f64>{data}, eb, got, level);
-    ASSERT_EQ(want, got) << simd_level_name(level);
-  }
-}
-
 TEST(SimdEncode, MatchesScalarReferenceIncludingSaturation) {
   for (const size_t n : kSizes) {
     Rng rng(41 * n + 3);
@@ -367,13 +307,14 @@ TEST(SimdMark, MatchesScalarReferenceWithTails) {
 
 template <typename T>
 void check_fused(Dims dims, double eb, u64 seed, SimdLevel level,
-                 double noise) {
+                 double noise, double scale = 1.0) {
   const size_t n = dims.count();
   Rng rng(seed);
   std::vector<T> data(n);
   for (size_t i = 0; i < n; ++i)
-    data[i] = static_cast<T>(100.0 + 40.0 * std::sin(0.013 * double(i)) +
-                             rng.uniform(-noise, noise));
+    data[i] = static_cast<T>(scale *
+                             (100.0 + 40.0 * std::sin(0.013 * double(i)) +
+                              rng.uniform(-noise, noise)));
   const FusedOut want = reference_fused(std::span<const T>{data}, dims, eb);
 
   std::vector<u32> shuffled(want.shuffled.size(), 0xdeadbeefu);
@@ -382,8 +323,8 @@ void check_fused(Dims dims, double eb, u64 seed, SimdLevel level,
   const FusedParallelPlan plan = fused_parallel_plan(dims, 1);
   std::vector<i64> scratch(plan.scratch_elems, -1);
   const FusedTileResult got = fused_quant_shuffle_mark_parallel(
-      std::span<const T>{data}, dims, eb, false, shuffled, byte_flags,
-      bit_flags, scratch, plan, level);
+      std::span<const T>{data}, dims, eb, shuffled, byte_flags, bit_flags,
+      scratch, plan, level);
 
   ASSERT_EQ(want.shuffled, shuffled)
       << simd_level_name(level) << " dims " << dims.x << "x" << dims.y << "x"
@@ -404,6 +345,12 @@ TEST(SimdFused, MatchesUnfusedStagesAllRanksAndLevels) {
     for (const SimdLevel level : levels_under_test()) {
       check_fused<f32>(dims, 1e-3, 7 + dims.count(), level, 0.3);
       check_fused<f64>(dims, 1e-3, 11 + dims.count(), level, 0.3);
+      // fl32(1/2eb) overflows to inf, so f32 takes the exact row; the
+      // 1e-39 scale keeps the scaled values near 500.
+      check_fused<f32>(dims, 1e-40, 13 + dims.count(), level, 0.3, 1e-39);
+      // Scaled values near 2^19-2^20: most 8-lane groups of the float row
+      // fail the margin test and fall back to the exact row per group.
+      check_fused<f32>(dims, 1e-6, 17 + dims.count(), level, 0.3, 0.015);
     }
   }
 }
@@ -414,6 +361,11 @@ TEST(SimdFused, MatchesUnfusedUnderHeavySaturation) {
   for (const SimdLevel level : levels_under_test()) {
     check_fused<f32>(Dims{97, 13}, 1e-6, 77, level, 500.0);
     check_fused<f64>(Dims{11, 9, 5}, 1e-7, 78, level, 500.0);
+    // An eb tiny against the data: llround leaves the i64 range for part
+    // of the field, and the residuals must wrap modulo 2^64 on every tier.
+    check_fused<f32>(Dims{300}, 5e-18, 79, level, 0.3);
+    check_fused<f32>(Dims{97, 13}, 5e-18, 80, level, 0.3);
+    check_fused<f64>(Dims{11, 9, 5}, 5e-18, 81, level, 0.3);
   }
 }
 
