@@ -133,8 +133,8 @@ trace_section() {
     > /dev/null
   python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
     --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
-    prefix-sum-encode decompress fused-decode fused-decode-strip \
-    decode-offsets decode-carry reconstruct
+    prefix-sum-encode encode-compact decompress fused-decode \
+    fused-decode-strip decode-offsets decode-carry reconstruct
   rm -rf "${trace_tmp}"
 }
 

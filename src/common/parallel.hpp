@@ -1,11 +1,14 @@
 // Parallel-loop helpers.  All parallel loops in the native backends go
-// through these wrappers.  With OpenMP they compile to omp regions; without
-// it (FZ_ENABLE_OPENMP=OFF) parallel_for/parallel_tasks fall back to a
-// std::thread task crew with the same contract.  The `tsan` preset builds
-// without OpenMP deliberately: libgomp is not TSan-instrumented, so its
-// fork/join happens-before edges are invisible and ThreadSanitizer flags
-// correct code; raw std::threads keep the concurrency both real and
-// visible to the tool.
+// through these wrappers: parallel_for, parallel_chunks and parallel_tasks
+// for loops, and parallel_range, the one reduction (min, max and
+// all-finite in a single pass, all that resolving an error bound needs
+// from the input).  With OpenMP they compile to omp regions; without it
+// (FZ_ENABLE_OPENMP=OFF) parallel_for/parallel_tasks fall back to a
+// std::thread task crew with the same contract, and parallel_range runs
+// serially.  The `tsan` preset builds without OpenMP deliberately: libgomp
+// is not TSan-instrumented, so its fork/join happens-before edges are
+// invisible and ThreadSanitizer flags correct code; raw std::threads keep
+// the concurrency both real and visible to the tool.
 #pragma once
 
 #include <atomic>
@@ -16,7 +19,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #if defined(FZ_HAVE_OPENMP)
@@ -164,49 +167,45 @@ void parallel_tasks(size_t count, size_t workers, Fn&& fn) {
   for (size_t i = 0; i < count; ++i) fn(i, 0);
 }
 
-/// Parallel min/max over the span (OpenMP parallel+simd reduction; no
-/// scratch allocation).  The branchless select form vectorizes where the
-/// branchy `if (x < lo)` form cannot, and min/max reductions are
-/// order-independent on NaN-free data, so the result is identical to the
-/// serial loop.  The data must be NaN-free — validate first.  Requires a
-/// non-empty span.
+/// The min, max and all-finite flag of a span (parallel_range).
 template <typename T>
-std::pair<T, T> parallel_minmax(std::span<const T> v) {
-  FZ_REQUIRE(!v.empty(), "parallel_minmax: empty span");
-  T lo = v[0];
-  T hi = v[0];
-  const T* p = v.data();
-#if defined(FZ_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static) reduction(min : lo) \
-    reduction(max : hi)
-#endif
-  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i) {
-    const T x = p[i];
-    lo = x < lo ? x : lo;
-    hi = x > hi ? x : hi;
-  }
-  return {lo, hi};
-}
+struct ValueRange {
+  T lo;
+  T hi;
+  bool finite;  ///< no NaN/Inf anywhere; lo and hi are meaningful only then
+};
 
-/// True iff every element is finite (no NaN/Inf).  OpenMP parallel+simd
-/// reduced; no scratch allocation.  A value is non-finite exactly when all
-/// its exponent bits are set, so the test is pure integer compare+AND —
-/// no libm isfinite call, and the loop vectorizes.
+/// Min, max and all-finite of a non-empty span in one OpenMP parallel+simd
+/// reduction, with no scratch allocation.  A value is non-finite exactly
+/// when all its exponent bits are set, so the finite test is an integer
+/// compare+AND with no libm call, and the branchless select form of min and
+/// max vectorizes where `if (x < lo)` cannot.  On finite data min and max
+/// are order-independent, so they equal the serial loop's by value (a mix
+/// of +0.0 and -0.0 may come back with either sign, which no range or
+/// magnitude computed from them can tell apart).
 template <typename T>
-bool parallel_all_finite(std::span<const T> v) {
+ValueRange<T> parallel_range(std::span<const T> v) {
   using U = std::conditional_t<sizeof(T) == sizeof(u32), u32, u64>;
   static_assert(sizeof(T) == sizeof(U));
   constexpr U kExpMask = sizeof(T) == sizeof(u32)
                              ? static_cast<U>(0x7f800000u)
                              : static_cast<U>(0x7ff0000000000000ull);
+  FZ_REQUIRE(!v.empty(), "parallel_range: empty span");
   const T* p = v.data();
-  int ok = 1;
+  T lo = p[0];
+  T hi = p[0];
+  int finite = 1;
 #if defined(FZ_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static) reduction(& : ok)
+#pragma omp parallel for simd schedule(static) reduction(min : lo) \
+    reduction(max : hi) reduction(& : finite)
 #endif
-  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i)
-    ok &= static_cast<int>((std::bit_cast<U>(p[i]) & kExpMask) != kExpMask);
-  return ok != 0;
+  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i) {
+    const T x = p[i];
+    lo = x < lo ? x : lo;
+    hi = x > hi ? x : hi;
+    finite &= static_cast<int>((std::bit_cast<U>(x) & kExpMask) != kExpMask);
+  }
+  return {lo, hi, finite != 0};
 }
 
 }  // namespace fz

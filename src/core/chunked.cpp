@@ -1,7 +1,6 @@
 #include "core/chunked.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/bits.hpp"
@@ -9,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "core/codec.hpp"
 #include "core/format.hpp"
+#include "core/quantizer.hpp"
 #include "substrate/bitio.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -211,15 +211,8 @@ ChunkedCompressed fz_compress_chunked(FloatSpan data, Dims dims,
   // Resolve the error bound once over the WHOLE field so every chunk uses
   // the same absolute bound (a per-chunk range would change the semantics).
   FzParams base = params.base;
-  if (base.eb.mode == ErrorBoundMode::Relative) {
-    FZ_REQUIRE(parallel_all_finite(data),
-               "input contains NaN/Inf; error-bounded compression requires "
-               "finite data");
-    const auto [lo, hi] = parallel_minmax(data);
-    double range = static_cast<double>(hi) - static_cast<double>(lo);
-    if (range <= 0) range = std::max(std::fabs(static_cast<double>(hi)), 1.0);
-    base.eb = ErrorBound::absolute(base.eb.value * range);
-  }
+  if (base.eb.mode == ErrorBoundMode::Relative)
+    base.eb = ErrorBound::absolute(resolve_abs_eb(data, base.eb));
 
   const size_t plane = dims.count() / slowest_extent(dims);
   const auto slabs = plan_slabs(slowest_extent(dims), params.num_chunks);

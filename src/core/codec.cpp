@@ -64,7 +64,9 @@ Codec::Codec(FzParams params)
 template <typename T>
 void Codec::compress_impl(std::span<const T> data, Dims dims,
                           FzCompressed& out, bool with_costs) {
-  out.bytes.clear();
+  // out.bytes is resized, not cleared: the graph writes every byte of the
+  // stream, so a reused FzCompressed pays no zero-fill for the bytes it
+  // already holds.
   out.stage_costs.clear();
   out.stats = {};
   // params() hands out a mutable reference so callers can retune the bound

@@ -1,7 +1,8 @@
 #include "core/encoder.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
+#include <cstring>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -10,6 +11,23 @@
 #include "substrate/scan.hpp"
 
 namespace fz {
+
+namespace {
+
+constexpr size_t kBlockBytes = kBlockWords * sizeof(u32);
+constexpr size_t kFlagBytesPerTile = kBlocksPerTile / 8;
+/// Fewest tiles (256 KiB of shuffled words) worth a thread of compaction.
+constexpr size_t kMinCompactTiles = 64;
+
+/// Nonzero blocks of one tile: the popcount of its flag bytes.
+u64 tile_nonzero_blocks(const u8* flags) {
+  u64 n = 0;
+  for (size_t k = 0; k < kFlagBytesPerTile; k += sizeof(u64))
+    n += static_cast<u64>(popcount_u64(load_le<u64>(flags + k)));
+  return n;
+}
+
+}  // namespace
 
 void mark_blocks(std::span<const u32> words, std::span<u8> byte_flags,
                  std::span<u8> bit_flags) {
@@ -45,34 +63,20 @@ void mark_blocks(std::span<const u32> words, std::vector<u8>& byte_flags,
   mark_blocks(words, std::span<u8>{byte_flags}, std::span<u8>{bit_flags});
 }
 
-size_t compact_blocks(std::span<const u32> words,
-                      std::span<const u8> byte_flags, std::span<u32> flags32,
-                      std::span<u32> offsets, std::span<u32> scan_scratch,
-                      std::span<u32> blocks_out,
-                      cudasim::CostSheet* scan_cost) {
+cudasim::CostSheet compact_blocks(std::span<const u32> words,
+                                  std::span<const u8> byte_flags,
+                                  std::vector<u32>& blocks_out) {
   const size_t nblocks = byte_flags.size();
   FZ_REQUIRE(words.size() == nblocks * kBlockWords, "encoder: size mismatch");
-  FZ_REQUIRE(flags32.size() == nblocks && offsets.size() == nblocks,
-             "encoder: scratch size mismatch");
-
   // Exclusive prefix sum of the byte flags gives each block's output slot
   // (the paper's phase-2 CUB ExclusiveSum).
-  parallel_chunks(nblocks, size_t{1} << 16, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) flags32[i] = byte_flags[i];
-  });
-  if (scan_cost != nullptr) {
-    *scan_cost =
-        scan_exclusive_device_model(flags32, offsets, scan_scratch, 2048);
-  } else {
-    // The device model is the same scan plus a CostSheet; skip the sheet
-    // (its name string allocates) so warm compress calls stay alloc-free.
-    scan_exclusive_parallel(flags32, offsets, scan_scratch);
-  }
-
-  const size_t nonzero =
-      nblocks == 0 ? 0 : offsets.back() + flags32.back();
-  FZ_REQUIRE(blocks_out.size() >= nonzero * kBlockWords,
-             "encoder: output too small");
+  std::vector<u32> flags32(byte_flags.begin(), byte_flags.end());
+  std::vector<u32> offsets(nblocks);
+  std::vector<u32> scan_scratch(2 * scan_chunk_count(nblocks), 0);
+  const cudasim::CostSheet cost =
+      scan_exclusive_device_model(flags32, offsets, scan_scratch, 2048);
+  const size_t nonzero = nblocks == 0 ? 0 : offsets.back() + flags32.back();
+  blocks_out.resize(nonzero * kBlockWords);
   parallel_chunks(nblocks, 4096, [&](size_t b, size_t e) {
     for (size_t blk = b; blk < e; ++blk) {
       if (byte_flags[blk] == 0) continue;
@@ -81,21 +85,52 @@ size_t compact_blocks(std::span<const u32> words,
         blocks_out[slot * kBlockWords + k] = words[blk * kBlockWords + k];
     }
   });
-  return nonzero;
+  return cost;
 }
 
-cudasim::CostSheet compact_blocks(std::span<const u32> words,
-                                  std::span<const u8> byte_flags,
-                                  std::vector<u32>& blocks_out) {
-  const size_t nblocks = byte_flags.size();
-  std::vector<u32> flags32(nblocks), offsets(nblocks);
-  std::vector<u32> scan_scratch(2 * scan_chunk_count(nblocks), 0);
-  blocks_out.resize(words.size());
-  cudasim::CostSheet cost;
-  const size_t nonzero = compact_blocks(words, byte_flags, flags32, offsets,
-                                        scan_scratch, blocks_out, &cost);
-  blocks_out.resize(nonzero * kBlockWords);
-  return cost;
+size_t tile_block_bases(std::span<const u8> bit_flags,
+                        std::span<u64> tile_bases) {
+  FZ_REQUIRE(bit_flags.size() == tile_bases.size() * kFlagBytesPerTile,
+             "encoder: flag array size mismatch");
+  u64 base = 0;
+  for (size_t t = 0; t < tile_bases.size(); ++t) {
+    tile_bases[t] = base;
+    base += tile_nonzero_blocks(bit_flags.data() + t * kFlagBytesPerTile);
+  }
+  return static_cast<size_t>(base);
+}
+
+void compact_tiles(std::span<const u32> words, std::span<const u8> bit_flags,
+                   std::span<const u64> tile_bases, MutByteSpan blocks_out) {
+  const size_t tiles = tile_bases.size();
+  FZ_REQUIRE(words.size() == tiles * kTileWords &&
+                 bit_flags.size() == tiles * kFlagBytesPerTile,
+             "encoder: size mismatch");
+  const u64 nonzero =
+      tiles == 0 ? 0
+                 : tile_bases.back() +
+                       tile_nonzero_blocks(bit_flags.data() +
+                                           (tiles - 1) * kFlagBytesPerTile);
+  FZ_REQUIRE(blocks_out.size() == nonzero * kBlockBytes,
+             "encoder: block output size mismatch");
+  // One contiguous run of tiles per thread, and none below kMinCompactTiles:
+  // a small field is one run, copied on the calling thread with no fork.
+  const size_t grain = std::max(
+      kMinCompactTiles, div_ceil(tiles, static_cast<size_t>(max_threads())));
+  parallel_chunks(tiles, grain, [&](size_t b, size_t e) {
+    for (size_t t = b; t < e; ++t) {
+      const u32* tile = words.data() + t * kTileWords;
+      const u8* flags = bit_flags.data() + t * kFlagBytesPerTile;
+      u8* dst = blocks_out.data() + tile_bases[t] * kBlockBytes;
+      for (size_t w = 0; w < kFlagBytesPerTile; w += sizeof(u64)) {
+        for (u64 bits = load_le<u64>(flags + w); bits != 0; bits &= bits - 1) {
+          const size_t blk = w * 8 + static_cast<size_t>(std::countr_zero(bits));
+          std::memcpy(dst, tile + blk * kBlockWords, kBlockBytes);
+          dst += kBlockBytes;
+        }
+      }
+    }
+  });
 }
 
 EncodeResult encode_blocks(std::span<const u32> words) {
@@ -129,17 +164,10 @@ size_t decode_block_offsets(std::span<const u8> bit_flags,
 
 void decode_tile_bases(std::span<const u8> bit_flags, size_t block_bytes,
                        std::span<u64> tile_bases) {
-  constexpr size_t kFlagBytesPerTile = kBlocksPerTile / 8;
   FZ_FORMAT_REQUIRE(bit_flags.size() == tile_bases.size() * kFlagBytesPerTile,
                     "decoder: flag array size mismatch");
-  u64 base = 0;
-  for (size_t t = 0; t < tile_bases.size(); ++t) {
-    tile_bases[t] = base;
-    const u8* f = bit_flags.data() + t * kFlagBytesPerTile;
-    for (size_t k = 0; k < kFlagBytesPerTile; k += sizeof(u64))
-      base += static_cast<u64>(popcount_u64(load_le<u64>(f + k)));
-  }
-  FZ_FORMAT_REQUIRE(block_bytes == base * kBlockWords * sizeof(u32),
+  const size_t nonzero = tile_block_bases(bit_flags, tile_bases);
+  FZ_FORMAT_REQUIRE(block_bytes == nonzero * kBlockBytes,
                     "decoder: block payload size mismatch");
 }
 

@@ -5,8 +5,16 @@
 // pipeline: as a byte-flag array (input of the offset prefix sum) and packed
 // into a bit-flag array (part of the compressed output, 1 bit per block —
 // hence the ratio ceiling of 128x over the code stream that the paper
-// contrasts with Huffman's 32x).  Phase 2 exclusive-prefix-sums the byte
-// flags into block offsets and compacts the nonzero blocks.
+// contrasts with Huffman's 32x).  Phase 2 gives every nonzero block its
+// output slot and compacts the nonzero blocks there.
+//
+// The paper's phase 2 is one exclusive prefix sum over the byte flags
+// (compact_blocks, the scan the device cost model and kernels_sim price).
+// The host codec finds the same slots block-locally, as cuSZ+ does: one
+// base per 4 KiB tile from the popcounts of its packed bit flags
+// (tile_block_bases), then each tile copies its blocks from its base
+// (compact_tiles), tile-parallel and straight into the output stream.  The
+// fused decode finds the blocks by the same bases (decode_tile_bases).
 #pragma once
 
 #include <span>
@@ -39,26 +47,31 @@ void mark_blocks(std::span<const u32> words, std::vector<u8>& byte_flags,
 void mark_blocks(std::span<const u32> words, std::span<u8> byte_flags,
                  std::span<u8> bit_flags);
 
-/// Phase 2: offsets via exclusive prefix sum + block compaction.
-/// Returns the modeled device cost of the scan (the encode kernel cost is
-/// assembled by core/costs.cpp).
+/// Phase 2 as the paper runs it: offsets via exclusive prefix sum of the
+/// byte flags, then block compaction into `blocks_out` (resized to the
+/// nonzero blocks).  Returns the modeled device cost of the scan (the
+/// encode kernel cost is assembled by core/costs.cpp).
 cudasim::CostSheet compact_blocks(std::span<const u32> words,
                                   std::span<const u8> byte_flags,
                                   std::vector<u32>& blocks_out);
 
-/// Allocation-free phase 2.  `flags32` and `offsets` are scratch of
-/// byte_flags.size() elements each, `scan_scratch` as required by
-/// scan_exclusive_parallel, and `blocks_out` must hold the worst case
-/// (words.size() elements).  Returns the number of nonzero blocks; the
-/// compacted payload is blocks_out[0 .. nonzero * kBlockWords).
-size_t compact_blocks(std::span<const u32> words,
-                      std::span<const u8> byte_flags, std::span<u32> flags32,
-                      std::span<u32> offsets, std::span<u32> scan_scratch,
-                      std::span<u32> blocks_out,
-                      cudasim::CostSheet* scan_cost = nullptr);
-
 /// Convenience: run both phases.
 EncodeResult encode_blocks(std::span<const u32> words);
+
+/// Per-tile block bases: tile_bases[t] is the index of tile t's first
+/// nonzero block, the exclusive prefix sum of the popcounts of each tile's
+/// kBlocksPerTile / 8 flag bytes.  `bit_flags` must hold exactly that many
+/// bytes per tile.  Returns the nonzero block count.
+size_t tile_block_bases(std::span<const u8> bit_flags,
+                        std::span<u64> tile_bases);
+
+/// Phase 2 by tile bases: copy every nonzero block of `words`
+/// (tile_bases.size() whole tiles) to its slot in `blocks_out`, 16 bytes
+/// per nonzero block at any alignment — the block section of a stream.
+/// Tile-parallel on every thread; a field of few tiles is copied on the
+/// calling thread.  Byte-identical to compact_blocks.
+void compact_tiles(std::span<const u32> words, std::span<const u8> bit_flags,
+                   std::span<const u64> tile_bases, MutByteSpan blocks_out);
 
 /// Inverse: scatter nonzero blocks back into `out` (pre-sized, multiple of
 /// 4 words); zero blocks are zero-filled.
@@ -82,10 +95,8 @@ size_t decode_block_offsets(std::span<const u8> bit_flags,
                             std::span<u32> scan_scratch);
 
 /// Per-tile offset recovery for the fused decode (core/kernels_decode.hpp):
-/// tile_bases[t] is the index of tile t's first compacted block, the
-/// exclusive prefix sum of the popcounts of each tile's kBlocksPerTile / 8
-/// flag bytes.  `bit_flags` must hold exactly that many bytes per tile.
-/// Throws FormatError unless the flags count exactly `block_bytes / 16`
+/// tile_block_bases over a stream's flag section.  Throws FormatError
+/// unless the flags hold whole tiles and count exactly `block_bytes / 16`
 /// nonzero blocks, so every block a tile addresses lies in the section.
 void decode_tile_bases(std::span<const u8> bit_flags, size_t block_bytes,
                        std::span<u64> tile_bases);

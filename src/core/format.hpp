@@ -6,6 +6,7 @@
 // core/pipeline.hpp and core/codec.hpp.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <type_traits>
@@ -201,7 +202,8 @@ inline void validate_stream_header(const StreamHeader& h, size_t stream_bytes) {
   FZ_FORMAT_REQUIRE(quant == QuantVersion::V1Original ||
                         quant == QuantVersion::V2Optimized,
                     "bad quant version");
-  FZ_FORMAT_REQUIRE(h.abs_eb > 0, "bad error bound");
+  FZ_FORMAT_REQUIRE(h.abs_eb > 0 && std::isfinite(h.abs_eb),
+                    "bad error bound");
   // The format's ratio ceiling is 256x on the u16 code stream (the 128x
   // flag ceiling); a count beyond that is corrupt.  Each extent is checked
   // stepwise so the product cannot wrap around u64 and masquerade as a

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "core/pipeline.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fz {
 
@@ -15,6 +18,80 @@ namespace {
 // Chunked grain for the trivial per-element loops: one atomic claim per
 // 32Ki elements instead of one per element in the task-crew fallback.
 constexpr size_t kQuantGrain = size_t{1} << 15;
+
+/// |p| at or past this leaves too little of the i64 range for llround.
+constexpr double kMaxPrequant = 0x1p62;
+
+/// Throw ParamError on "eb"; `format` takes the bound and a magnitude.
+[[noreturn]] void reject_eb(const char* format, double abs_eb,
+                            double max_abs) {
+  char message[192];
+  std::snprintf(message, sizeof(message), format, abs_eb, max_abs);
+  throw ParamError({{"eb", message}});
+}
+
+template <typename T>
+double resolve_abs_eb_impl(std::span<const T> data, const ErrorBound& eb,
+                           std::span<T> log_values, telemetry::Sink* sink) {
+  const ValueRange<T> r = parallel_range(data);
+  FZ_REQUIRE(r.finite,
+             "input contains NaN/Inf; error-bounded compression requires "
+             "finite data");
+  const double lo = static_cast<double>(r.lo);
+  const double hi = static_cast<double>(r.hi);
+  const bool log_transform = eb.mode == ErrorBoundMode::PointwiseRelative;
+  double abs_eb = eb.value;
+  double max_abs = std::max(std::fabs(lo), std::fabs(hi));
+  if (log_transform) {
+    // Realized via the log transform: an absolute bound of log(1+rel) on
+    // log-space data bounds each value's relative error by rel (Liang et
+    // al., the paper's HACC protocol, §4.1).
+    FZ_REQUIRE(eb.value > 0 && eb.value < 1,
+               "point-wise relative bound must be in (0, 1)");
+    FZ_REQUIRE(lo > 0,
+               "point-wise relative bounds require strictly positive data "
+               "(apply an offset or use an absolute bound)");
+    FZ_REQUIRE(log_values.size() == data.size(),
+               "resolve: log storage size mismatch");
+    abs_eb = std::log1p(eb.value);
+    // log is monotonic: the logs of lo and hi bound every log value.
+    const auto log_abs = [](double x) {
+      return std::fabs(static_cast<double>(static_cast<T>(std::log(x))));
+    };
+    max_abs = std::max(log_abs(lo), log_abs(hi));
+  } else if (eb.mode == ErrorBoundMode::Relative) {
+    double range = hi - lo;
+    if (range <= 0) {
+      // Degenerate constant field: scale the relative bound by the value
+      // magnitude instead (any positive bound reproduces it exactly
+      // anyway).
+      range = std::max(std::fabs(hi), 1.0);
+    }
+    abs_eb = eb.resolve(range);
+  }
+
+  // Pre-quantization computes llround(x * (1 / (2 abs_eb))).
+  const double inv = 1.0 / (2.0 * abs_eb);
+  if (!(abs_eb > 0) || !std::isfinite(abs_eb) || !std::isfinite(inv))
+    reject_eb("resolved error bound %g is not representable: it and "
+              "1/(2*eb) must be positive and finite",
+              abs_eb, max_abs);
+  if (max_abs * inv >= kMaxPrequant)
+    reject_eb("error bound %g is too tight for data of magnitude %g: "
+              "|value| / (2*eb) reaches 2^62, past the pre-quantizer's "
+              "integer range",
+              abs_eb, max_abs);
+
+  if (log_transform) {
+    telemetry::Span span(sink, "log-transform");
+    parallel_chunks(data.size(), size_t{1} << 14, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i)
+        log_values[i] =
+            static_cast<T>(std::log(static_cast<double>(data[i])));
+    });
+  }
+  return abs_eb;
+}
 
 template <typename T>
 void prequantize_impl(std::span<const T> data, double eb, std::span<i64> out) {
@@ -74,6 +151,15 @@ void dequantize_impl(std::span<const i64> p, double eb, std::span<T> out,
 }
 
 }  // namespace
+
+double resolve_abs_eb(FloatSpan data, const ErrorBound& eb,
+                      std::span<f32> log_values, telemetry::Sink* sink) {
+  return resolve_abs_eb_impl(data, eb, log_values, sink);
+}
+double resolve_abs_eb(std::span<const f64> data, const ErrorBound& eb,
+                      std::span<f64> log_values, telemetry::Sink* sink) {
+  return resolve_abs_eb_impl(data, eb, log_values, sink);
+}
 
 void prequantize(FloatSpan data, double eb, std::span<i64> out) {
   prequantize_impl(data, eb, out);

@@ -16,6 +16,10 @@
 // bit for bit, including the margin-tested float row the fused kernel
 // uses for f32.  Reconstruction is the double product in dequantize.  No
 // host setting changes a stream or a restored value.
+//
+// The bound pre-quantization runs with comes from resolve_abs_eb, the one
+// place an ErrorBound meets the data: the compress graphs' resolve stage
+// and the chunked container's whole-field resolve both call it.
 #pragma once
 
 #include <span>
@@ -23,7 +27,32 @@
 
 #include "common/types.hpp"
 
+namespace fz::telemetry {
+class Sink;
+}  // namespace fz::telemetry
+
 namespace fz {
+
+/// Resolve `eb` over `data` to the absolute bound pre-quantization runs
+/// with.  One parallel_range pass (common/parallel.hpp) gives the
+/// non-finite check, the value range a relative bound scales (a constant
+/// field scales it by max(|value|, 1) instead) and the largest magnitude.
+/// A point-wise relative bound rel resolves to log1p(rel) over log(data):
+/// the log pass writes log(data) into `log_values` (data.size() elements;
+/// unused by the other modes) inside a "log-transform" span on `sink`.
+///
+/// Throws Error on non-finite data, and on non-positive data under a
+/// point-wise bound.  Throws ParamError on "eb" when the data make the
+/// bound unrepresentable: abs_eb or 1/(2 abs_eb) is not finite, or the
+/// largest |value| (after a log transform, the largest |log value|) over
+/// 2 abs_eb reaches 2^62, where pre-quantized values approach the i64
+/// range.
+double resolve_abs_eb(FloatSpan data, const ErrorBound& eb,
+                      std::span<f32> log_values = {},
+                      telemetry::Sink* sink = nullptr);
+double resolve_abs_eb(std::span<const f64> data, const ErrorBound& eb,
+                      std::span<f64> log_values = {},
+                      telemetry::Sink* sink = nullptr);
 
 /// Pre-quantization: p_i = round(d_i / (2·eb)).  The only lossy step of the
 /// whole pipeline; |p_i·2eb − d_i| ≤ eb by construction (Fig. 2).

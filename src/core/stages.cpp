@@ -98,12 +98,15 @@ void run_stages(const StageGraph& graph, PipelineContext& ctx) {
 
 namespace {
 
+/// One V1 outlier on the stream: u32 index, i32 pre-quantized value.
+constexpr size_t kOutlierBytes = sizeof(u32) + sizeof(i32);
+
 // ---- compression stages -----------------------------------------------------
 
 /// Validate the input (NaN/Inf-free), resolve the error bound, and apply
-/// the optional log transform.  All three full-data walks run through the
-/// OpenMP reductions in common/parallel.hpp — they used to be serial scans
-/// on the hot path.
+/// the optional log transform: one resolve_abs_eb call (core/quantizer.hpp),
+/// which reads the input once, plus the log pass in point-wise relative
+/// mode.
 class ResolveTransformStage final : public Stage {
  public:
   const char* name() const override { return "resolve-transform"; }
@@ -120,50 +123,17 @@ class ResolveTransformStage final : public Stage {
   template <typename T>
   static void run_impl(PipelineContext& ctx) {
     const std::span<const T> data = ctx.input_as<T>();
-    FZ_REQUIRE(parallel_all_finite(data),
-               "input contains NaN/Inf; error-bounded compression requires "
-               "finite data");
     ctx.stats.count = data.size();
     ctx.stats.input_bytes = data.size() * sizeof(T);
-
-    const ErrorBound& eb = ctx.params.eb;
-    if (eb.mode == ErrorBoundMode::Absolute) {
-      ctx.abs_eb = eb.value;
-    } else if (eb.mode == ErrorBoundMode::PointwiseRelative) {
-      // Realized via the log transform: an absolute bound of log(1+rel) on
-      // log-space data bounds each value's relative error by rel.
-      FZ_REQUIRE(eb.value > 0 && eb.value < 1,
-                 "point-wise relative bound must be in (0, 1)");
-      ctx.abs_eb = std::log1p(eb.value);
-    } else {
-      const auto [lo, hi] = parallel_minmax(data);
-      double range = static_cast<double>(hi) - static_cast<double>(lo);
-      if (range <= 0) {
-        // Degenerate constant field: scale the relative bound by the value
-        // magnitude instead (any positive bound reproduces it exactly
-        // anyway).
-        range = std::max(std::fabs(static_cast<double>(hi)), 1.0);
-      }
-      ctx.abs_eb = eb.resolve(range);
-    }
-    ctx.stats.abs_eb = ctx.abs_eb;
-    FZ_REQUIRE(ctx.abs_eb > 0, "resolved error bound must be positive");
-
-    // Point-wise relative mode: compress log(d) with the absolute bound
-    // log(1+rel) (Liang et al., the paper's HACC protocol, §4.1).
-    ctx.log_transform = eb.mode == ErrorBoundMode::PointwiseRelative;
-    if (ctx.log_transform) {
+    // Point-wise relative mode compresses log(d) with the absolute bound
+    // log(1+rel).
+    ctx.log_transform =
+        ctx.params.eb.mode == ErrorBoundMode::PointwiseRelative;
+    if (ctx.log_transform)
       ctx.values = ctx.pool->acquire(ctx.count * sizeof(T), false);
-      const std::span<T> values = ctx.values.as<T>();
-      parallel_chunks(data.size(), size_t{1} << 14, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) {
-          FZ_REQUIRE(data[i] > 0,
-                     "point-wise relative bounds require strictly positive "
-                     "data (apply an offset or use an absolute bound)");
-          values[i] = static_cast<T>(std::log(static_cast<double>(data[i])));
-        }
-      });
-    }
+    ctx.abs_eb =
+        resolve_abs_eb(data, ctx.params.eb, ctx.values.as<T>(), ctx.sink);
+    ctx.stats.abs_eb = ctx.abs_eb;
   }
 };
 
@@ -274,29 +244,44 @@ class FusedQuantShuffleMarkStage final : public Stage {
   }
 };
 
-/// Prefix-sum offsets + block compaction (encode phase 2).
+/// Byte offset of the block section in a stream: after the header and
+/// the flag section.
+size_t block_section_offset(const PipelineContext& ctx) {
+  return sizeof(StreamHeader) + ctx.bit_flags.size();
+}
+
+/// Encode phase 2: one block base per tile from the flag popcounts, the
+/// output stream sized once, then every tile's nonzero blocks compacted in
+/// parallel straight to their offset in the stream ("encode-compact").
 class EncodeStage final : public Stage {
  public:
   const char* name() const override { return "prefix-sum-encode"; }
 
   void run(PipelineContext& ctx) const override {
-    const size_t nblocks = ctx.total_blocks();
-    ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.scan_scratch = ctx.pool->acquire(
-        2 * scan_chunk_count(nblocks) * sizeof(u32), false);
-    ctx.blocks =
-        ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
-    ctx.nonzero_blocks = compact_blocks(
-        ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(), ctx.flags32.as<u32>(),
-        ctx.offsets.as<u32>(), ctx.scan_scratch.as<u32>(),
-        ctx.blocks.as<u32>());
-    ctx.stats.total_blocks = nblocks;
+    const size_t tiles = ctx.padded_codes() / kCodesPerTile;
+    ctx.tile_bases = ctx.pool->acquire(tiles * sizeof(u64), false);
+    ctx.nonzero_blocks =
+        tile_block_bases(ctx.bit_flags.as<u8>(), ctx.tile_bases.as<u64>());
+    ctx.stats.total_blocks = ctx.total_blocks();
     ctx.stats.nonzero_blocks = ctx.nonzero_blocks;
+
+    // This stage and AssembleStage write every byte of the stream, so a
+    // plain resize suffices: a reused vector skips the zero-fill of the
+    // bytes it already holds.
+    const size_t offset = block_section_offset(ctx);
+    const size_t block_bytes = ctx.nonzero_blocks * kBlockWords * sizeof(u32);
+    std::vector<u8>& out = *ctx.out_bytes;
+    out.resize(offset + block_bytes + ctx.outliers.size() * kOutlierBytes);
+
+    telemetry::Span span(ctx.sink, "encode-compact");
+    compact_tiles(ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(),
+                  ctx.tile_bases.as<u64>(),
+                  MutByteSpan{out.data() + offset, block_bytes});
   }
 };
 
-/// Header + sections -> the self-describing output stream.
+/// Header, flags and V1 outliers around the blocks EncodeStage placed:
+/// the self-describing output stream.
 class AssembleStage final : public Stage {
  public:
   const char* name() const override { return "assemble"; }
@@ -322,21 +307,18 @@ class AssembleStage final : public Stage {
     h.block_words = ctx.nonzero_blocks * kBlockWords;
 
     std::vector<u8>& out = *ctx.out_bytes;
-    out.clear();
-    out.reserve(sizeof(h) + h.bit_flag_bytes + h.block_words * sizeof(u32) +
-                ctx.outliers.size() * (sizeof(u32) + sizeof(i32)));
-    ByteWriter w(out);
-    w.put(h);
-    w.put_bytes(ctx.bit_flags.bytes());
-    w.put_bytes(ByteSpan{
-        reinterpret_cast<const u8*>(ctx.blocks.as<u32>().data()),
-        h.block_words * sizeof(u32)});
+    std::memcpy(out.data(), &h, sizeof(h));
+    std::memcpy(out.data() + sizeof(h), ctx.bit_flags.data(),
+                h.bit_flag_bytes);
+    u8* rec = out.data() + block_section_offset(ctx) +
+              h.block_words * sizeof(u32);
     for (const Outlier& o : ctx.outliers) {
       FZ_REQUIRE(o.index <= UINT32_MAX && o.delta >= INT32_MIN &&
                      o.delta <= INT32_MAX,
                  "outlier exceeds 8-byte stream encoding");
-      w.put<u32>(static_cast<u32>(o.index));
-      w.put<i32>(static_cast<i32>(o.delta));
+      store_le<u32>(rec, static_cast<u32>(o.index));
+      store_le<i32>(rec + sizeof(u32), static_cast<i32>(o.delta));
+      rec += kOutlierBytes;
     }
     ctx.stats.compressed_bytes = out.size();
   }
@@ -378,7 +360,7 @@ class ParseHeaderStage final : public Stage {
     ctx.sec_blocks = r.get_bytes(h.block_words * sizeof(u32));
     ctx.sec_outliers =
         ctx.params.quant == QuantVersion::V1Original
-            ? r.get_bytes(h.outlier_count * (sizeof(u32) + sizeof(i32)))
+            ? r.get_bytes(h.outlier_count * kOutlierBytes)
             : ByteSpan{};
     ctx.header = h;
 
@@ -442,7 +424,8 @@ class InverseQuantStage final : public Stage {
       });
       // Non-outlier zeros cannot occur: code 0 is reserved for outliers.
       const u8* rec = ctx.sec_outliers.data();
-      for (size_t k = 0; k < ctx.header.outlier_count; ++k, rec += 8) {
+      for (size_t k = 0; k < ctx.header.outlier_count;
+           ++k, rec += kOutlierBytes) {
         const u32 index = load_le<u32>(rec);
         FZ_FORMAT_REQUIRE(index < ctx.count, "outlier index out of range");
         pq[index] = load_le<i32>(rec + sizeof(u32));

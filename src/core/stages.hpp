@@ -9,12 +9,15 @@
 //
 // One graph per direction and quantizer version.  V2 (the default) runs the
 // fused graphs:
-//   ResolveTransformStage       validate input, resolve eb, optional log x-form
+//   ResolveTransformStage       one pass: validate input + resolve eb
+//                               (resolve_abs_eb); optional log x-form
 //   FusedQuantShuffleMarkStage  pre-quantize + Lorenzo + residual codes + tile
 //                               bitshuffle + block flags in one tile-parallel
 //                               pass (3.2-3.4 phase 1)
-//   EncodeStage                 prefix-sum offsets + block compaction (3.4)
-//   AssembleStage               header + sections -> output stream
+//   EncodeStage                 per-tile block bases, size the output stream,
+//                               compact each tile's blocks in parallel
+//                               straight into it (3.4 phase 2)
+//   AssembleStage               header + flags + V1 outliers around them
 // and, to decompress:
 //   ParseHeaderStage            validate header, slice stream sections
 //   FusedDecodeStage            per-tile block bases, then per strip of
@@ -26,8 +29,8 @@
 //
 // V1 runs the unfused graphs, which split the fused stages into
 // DualQuantStage + BitshuffleMarkStage and ScatterUnshuffleStage +
-// InverseQuantStage (paper Fig. 1).  They accept V2 too, and are the
-// reference every fused pass is tested against.
+// InverseQuantStage (paper Fig. 1), and share the other stages.  They
+// accept V2 too, and are the reference every fused pass is tested against.
 //
 // fz::Codec (core/codec.hpp) owns a pool plus the graphs and is the
 // intended way to run them; fz_compress/fz_decompress are thin one-shot
@@ -74,18 +77,21 @@ struct PipelineContext {
   ByteSpan sec_bit_flags, sec_blocks, sec_outliers;  ///< stream sections
 
   // ---- pooled scratch ------------------------------------------------------
+  // Compression writes its blocks straight into *out_bytes, so no lease
+  // holds a compacted block section.
   PooledBuffer values;      ///< dtype[count]: log-transformed input copy
   PooledBuffer pq;          ///< i64[count]: pre-quantized / residuals
   PooledBuffer codes;       ///< u16[padded_codes()]
   PooledBuffer shuffled;    ///< u32[total_words()]
   PooledBuffer byte_flags;  ///< u8[total_blocks()]
   PooledBuffer bit_flags;   ///< u8[ceil(total_blocks()/8)]
-  PooledBuffer flags32;     ///< u32[total_blocks()]: scan input
-  PooledBuffer offsets;     ///< u32[total_blocks()]: scan output
-  PooledBuffer scan_scratch;  ///< u32: blocked-scan chunk totals/offsets
-  PooledBuffer blocks;      ///< u32: compacted blocks (worst case sized)
+  PooledBuffer flags32;     ///< u32[total_blocks()]: V1 decode scan input
+  PooledBuffer offsets;     ///< u32[total_blocks()]: V1 decode scan output
+  PooledBuffer scan_scratch;  ///< u32: V1 decode blocked-scan chunk totals
+  PooledBuffer blocks;      ///< u32: V1 decode aligned copy of the blocks
   PooledBuffer row_scratch;  ///< i64: fused pass per-strip rolling rows
-  PooledBuffer tile_bases;  ///< u64[tiles]: fused decode per-tile block bases
+  PooledBuffer tile_bases;  ///< u64[tiles]: per-tile block bases (encode and
+                            ///< fused decode)
   PooledBuffer carries;     ///< i64[decode_plan.carry_elems()]: strip carries
 
   // ---- data-dependent results ---------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -86,6 +87,24 @@ TEST(Chunked, ChunksShareTheGlobalAbsoluteBound) {
   EXPECT_NEAR(c.stats.abs_eb, global_eb, global_eb * 1e-9);
   const FzDecompressed d = fz_decompress_chunked(c.bytes);
   EXPECT_TRUE(error_bounded(f.values(), d.data, global_eb));
+}
+
+TEST(Chunked, UnrepresentableWholeFieldBoundIsParamError) {
+  // The whole-field relative resolve shares the codec's check: rel 1e-31
+  // of a range near 6 is an absolute 6e-31, and 3 / (2 * 6e-31) is far
+  // past the pre-quantizer's integer range.
+  const Dims dims{64, 128};
+  std::vector<f32> data(dims.count());
+  for (size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<f32>(3.0 * std::sin(static_cast<double>(i) * 0.01));
+  ChunkedParams params;
+  params.base.eb = ErrorBound::relative(1e-31);
+  EXPECT_THROW(fz_compress_chunked(data, dims, params), ParamError);
+  // The same field at a representable bound still round-trips.
+  params.base.eb = ErrorBound::relative(1e-4);
+  const ChunkedCompressed c = fz_compress_chunked(data, dims, params);
+  EXPECT_TRUE(error_bounded(data, fz_decompress_chunked(c.bytes).data,
+                            c.stats.abs_eb));
 }
 
 TEST(Chunked, RandomAccessDecompressesOneChunk) {

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "core/chunked.hpp"
 #include "core/codec.hpp"
+#include "core/format.hpp"
 #include "datasets/generators.hpp"
 #include "metrics/metrics.hpp"
 #include "reference_graph.hpp"
@@ -210,6 +211,113 @@ TEST(Codec, SteadyStateHoldsForV1AndPointwiseAndF64) {
   EXPECT_EQ(codec_v1.pool().stats().misses, m1);
   EXPECT_EQ(codec_pw.pool().stats().misses, m2);
   EXPECT_EQ(codec_f64.pool().stats().misses, m3);
+}
+
+TEST(Codec, CompressLeasesOnlyItsWorkingSet) {
+  // Blocks compact straight into the stream, so after one warm compress
+  // the pool holds the fused pass's shuffled words and flags, its strip
+  // scratch and the encoder's tile bases; V1 holds its unfused arrays
+  // instead of the fused pass's scratch.  No scan or block-section lease.
+  const Dims dims{96, 80, 4};
+  const Field f = noisy_field(dims, 23);
+  const size_t tiles = div_ceil(dims.count(), kCodesPerTile);
+  const size_t nblocks = tiles * kBlocksPerTile;
+  const size_t encode_set = tiles * kTileBytes + nblocks + nblocks / 8 +
+                            tiles * sizeof(u64);
+  FzParams params;
+  params.eb = ErrorBound::relative(1e-3);
+  params.fused_workers = 3;
+  Codec codec(params);
+  codec.compress(f.values(), f.dims);
+  const size_t fused_set =
+      encode_set + fused_parallel_plan(dims, 3).scratch_elems * sizeof(i64);
+  EXPECT_GT(codec.pool().stats().allocated_bytes, 0u);
+  EXPECT_LE(codec.pool().stats().allocated_bytes, fused_set);
+
+  params.quant = QuantVersion::V1Original;
+  Codec classic(params);
+  classic.compress(f.values(), f.dims);
+  const size_t unfused_set = encode_set + dims.count() * sizeof(i64) +
+                             tiles * kCodesPerTile * sizeof(u16);
+  EXPECT_LE(classic.pool().stats().allocated_bytes, unfused_set);
+}
+
+TEST(Codec, ReusedOutputIsOverwrittenExactly) {
+  // try_compress resizes a reused FzCompressed without clearing it first:
+  // a larger and a smaller previous stream both give the fresh bytes.
+  const Field big = noisy_field(Dims{96, 80, 4}, 3);
+  const Field small = noisy_field(Dims{40, 30}, 4);
+  Codec codec;
+  const std::vector<u8> want = codec.compress(small.values(), small.dims).bytes;
+  FzCompressed out;
+  ASSERT_TRUE(codec.try_compress(big.values(), big.dims, out).ok());
+  ASSERT_GT(out.bytes.size(), want.size());
+  ASSERT_TRUE(codec.try_compress(small.values(), small.dims, out).ok());
+  EXPECT_EQ(out.bytes, want);
+  out.bytes.assign(want.size() / 2, 0xab);
+  ASSERT_TRUE(codec.try_compress(small.values(), small.dims, out).ok());
+  EXPECT_EQ(out.bytes, want);
+}
+
+TEST(Codec, UnrepresentableBoundIsInvalidParams) {
+  // Each bound below once compressed with `ok` and restored garbage.
+  std::vector<f64> huge(4096);
+  for (size_t i = 0; i < huge.size(); ++i)
+    huge[i] = 1.5e308 * std::sin(static_cast<double>(i) * 0.01);
+  huge[0] = -1.5e308;
+  huge[1] = 1.5e308;
+  std::vector<f32> small(8192);
+  for (size_t i = 0; i < small.size(); ++i)
+    small[i] = static_cast<f32>(3.0 * std::sin(static_cast<double>(i) * 0.01));
+
+  const auto expect_rejected = [](auto data, ErrorBound eb) {
+    FzParams params;
+    params.eb = eb;
+    Codec codec(params);
+    FzCompressed out;
+    const Status s = codec.try_compress(data, Dims{data.size()}, out);
+    EXPECT_EQ(s.code(), StatusCode::InvalidParams) << s.to_string();
+    EXPECT_TRUE(out.bytes.empty());
+    try {
+      codec.compress(data, Dims{data.size()});
+      ADD_FAILURE() << "compress accepted eb " << eb.value;
+    } catch (const ParamError& e) {
+      ASSERT_EQ(e.issues().size(), 1u);
+      EXPECT_STREQ(e.issues()[0].field, "eb");
+    }
+  };
+  // hi - lo overflows: abs_eb = inf.
+  expect_rejected(std::span<const f64>{huge}, ErrorBound::relative(1e-3));
+  // |x| / (2 eb) ~ 1.5e30 leaves the i64 range.
+  expect_rejected(FloatSpan{small}, ErrorBound::absolute(1e-30));
+  // 1 / (2 eb) is inf.
+  expect_rejected(FloatSpan{small}, ErrorBound::absolute(1e-310));
+  // Point-wise relative: rel 1e-300 is representable, but log(3) / (2 *
+  // log1p(1e-300)) is not.
+  std::vector<f32> positive(small.size());
+  for (size_t i = 0; i < small.size(); ++i) positive[i] = small[i] + 3.5f;
+  expect_rejected(FloatSpan{positive},
+                  ErrorBound::pointwise_relative(1e-300));
+}
+
+TEST(Codec, TightBoundThatFitsRoundTrips) {
+  // |x| <= 3 at absolute(1e-12): |x| / (2 eb) = 1.5e12, well inside the
+  // pre-quantizer's range.  The ramp steps by 1e-8 (5000 quanta), so every
+  // residual fits its 16-bit code; f32 cannot step that finely near 3.
+  std::vector<f64> ramp(8192);
+  for (size_t i = 0; i < ramp.size(); ++i)
+    ramp[i] = 3.0 - 1e-8 * static_cast<double>(i);
+  FzParams params;
+  params.eb = ErrorBound::absolute(1e-12);
+  Codec codec(params);
+  FzCompressed c;
+  const Dims dims{ramp.size()};
+  ASSERT_TRUE(codec.try_compress(std::span<const f64>{ramp}, dims, c).ok());
+  EXPECT_EQ(c.stats.saturated, 0u);
+  std::vector<f64> out(ramp.size());
+  ASSERT_TRUE(codec.try_decompress_into(c.bytes, std::span<f64>{out}).ok());
+  for (size_t i = 0; i < ramp.size(); ++i)
+    ASSERT_LE(std::fabs(out[i] - ramp[i]), 1e-12 + 1e-15) << i;
 }
 
 TEST(Codec, DecompressIntoValidatesOutputSize) {

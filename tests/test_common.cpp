@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <thread>
@@ -245,29 +247,100 @@ TEST(Parallel, TasksPropagateExceptions) {
                Error);
 }
 
+/// The serial loop parallel_range must agree with.
+template <typename T>
+ValueRange<T> serial_range(std::span<const T> v) {
+  ValueRange<T> r{v[0], v[0], true};
+  for (const T x : v) {
+    r.lo = std::min(r.lo, x);
+    r.hi = std::max(r.hi, x);
+    r.finite = r.finite && std::isfinite(x);
+  }
+  return r;
+}
+
+template <typename T>
+void expect_range_matches_serial(u64 seed, size_t n) {
+  Rng rng(seed);
+  std::vector<T> v(n);
+  for (auto& x : v) x = static_cast<T>(rng.normal(3.0, 40.0));
+  const std::span<const T> span{v};
+  const ValueRange<T> want = serial_range(span);
+  const ValueRange<T> got = parallel_range(span);
+  EXPECT_TRUE(got.finite);
+  EXPECT_EQ(got.lo, want.lo) << "seed " << seed << " n " << n;
+  EXPECT_EQ(got.hi, want.hi) << "seed " << seed << " n " << n;
+}
+
 TEST(Parallel, MinmaxMatchesSerialScan) {
   Rng rng(7);
   std::vector<f32> v(10001);
   for (auto& x : v) x = static_cast<f32>(rng.uniform(-50, 50));
   v[1234] = -100.0f;
   v[8888] = 175.5f;
-  const auto [lo, hi] = parallel_minmax(std::span<const f32>{v});
-  EXPECT_EQ(lo, -100.0f);
-  EXPECT_EQ(hi, 175.5f);
-  const auto [slo, shi] = parallel_minmax(std::span<const f32>{v.data(), 1});
-  EXPECT_EQ(slo, v[0]);
-  EXPECT_EQ(shi, v[0]);
-  EXPECT_THROW(parallel_minmax(std::span<const f32>{}), Error);
+  const ValueRange<f32> r = parallel_range(std::span<const f32>{v});
+  EXPECT_EQ(r.lo, -100.0f);
+  EXPECT_EQ(r.hi, 175.5f);
+  EXPECT_TRUE(r.finite);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{17}, size_t{4099},
+                         size_t{100000}}) {
+    expect_range_matches_serial<f32>(11 + n, n);
+    expect_range_matches_serial<f64>(13 + n, n);
+  }
+  // A one-element span is its own min and max.
+  const ValueRange<f32> one = parallel_range(std::span<const f32>{v.data(), 1});
+  EXPECT_EQ(one.lo, v[0]);
+  EXPECT_EQ(one.hi, v[0]);
+  EXPECT_TRUE(one.finite);
+  EXPECT_THROW(parallel_range(std::span<const f32>{}), Error);
+
+  // Mixes of +0.0 and -0.0: the extremes are zero by value whichever sign
+  // each thread's partial kept, like the serial loop's.
+  std::vector<f64> zeros(100000, 0.0);
+  for (size_t i = 0; i < zeros.size(); i += 3) zeros[i] = -0.0;
+  const ValueRange<f64> z = parallel_range(std::span<const f64>{zeros});
+  EXPECT_EQ(z.lo, 0.0);
+  EXPECT_EQ(z.hi, 0.0);
+  EXPECT_TRUE(z.finite);
+  zeros[50000] = -1e-300;
+  zeros[99999] = 2.5;
+  const ValueRange<f64> zm = parallel_range(std::span<const f64>{zeros});
+  EXPECT_EQ(zm.lo, -1e-300);
+  EXPECT_EQ(zm.hi, 2.5);
+}
+
+template <typename T>
+void expect_detects_non_finite() {
+  constexpr size_t kN = 100000;
+  std::vector<T> v(kN);
+  for (size_t i = 0; i < kN; ++i) v[i] = static_cast<T>(i % 977) - T{400};
+  EXPECT_TRUE(parallel_range(std::span<const T>{v}).finite);
+  for (const T bad : {std::numeric_limits<T>::quiet_NaN(),
+                      std::numeric_limits<T>::infinity(),
+                      -std::numeric_limits<T>::infinity()}) {
+    for (const size_t at : {size_t{0}, kN / 2, kN - 1}) {
+      const T keep = v[at];
+      v[at] = bad;
+      EXPECT_FALSE(parallel_range(std::span<const T>{v}).finite)
+          << bad << " at " << at;
+      v[at] = keep;
+    }
+  }
+  // The largest finite magnitudes and subnormals are finite.
+  v[1] = std::numeric_limits<T>::max();
+  v[2] = -std::numeric_limits<T>::max();
+  v[3] = std::numeric_limits<T>::denorm_min();
+  const ValueRange<T> r = parallel_range(std::span<const T>{v});
+  EXPECT_TRUE(r.finite);
+  EXPECT_EQ(r.lo, -std::numeric_limits<T>::max());
+  EXPECT_EQ(r.hi, std::numeric_limits<T>::max());
 }
 
 TEST(Parallel, AllFiniteDetectsNaNAndInf) {
-  std::vector<f64> v(4096, 1.5);
-  EXPECT_TRUE(parallel_all_finite(std::span<const f64>{v}));
-  v[4000] = std::numeric_limits<f64>::quiet_NaN();
-  EXPECT_FALSE(parallel_all_finite(std::span<const f64>{v}));
-  v[4000] = std::numeric_limits<f64>::infinity();
-  EXPECT_FALSE(parallel_all_finite(std::span<const f64>{v}));
-  EXPECT_TRUE(parallel_all_finite(std::span<const f64>{}));
+  expect_detects_non_finite<f32>();
+  expect_detects_non_finite<f64>();
+  const f64 nan = std::numeric_limits<f64>::quiet_NaN();
+  EXPECT_FALSE(parallel_range(std::span<const f64>{&nan, 1}).finite);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 // recomputations of the exact values its predecessor strip computed, so the
 // partition never shows in the stream.  Also pins the plan's determinism,
 // the per-strip telemetry spans, and Codec-level stream equality with the
-// unfused reference graph across fused_workers settings.
+// unfused reference graph across fused_workers settings, with each
+// stream's flag, block and outlier sections checked against the
+// scan-based compaction (encode_blocks), since both graphs share the
+// tile-based EncodeStage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include "common/simd.hpp"
 #include "core/bitshuffle.hpp"
 #include "core/codec.hpp"
+#include "core/encoder.hpp"
 #include "core/kernels_simd.hpp"
 #include "reference_graph.hpp"
 #include "telemetry/telemetry.hpp"
@@ -194,26 +198,109 @@ TEST(FusedParallel, EmitsOneTelemetrySpanPerStrip) {
   EXPECT_GE(bytes_total, dims.count() * sizeof(f32));
 }
 
-TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
-  const Dims dims{64, 256};
-  const auto data = field<f32>(dims, 91);
+/// A stream's sections, checked against oracles independent of the
+/// EncodeStage both graphs share: the flags and the block section against
+/// the scan-based compaction (encode_blocks) of the unfused reference's
+/// shuffled words, and a V1 stream's outlier section, right after the
+/// blocks, against quant_encode_v1's outliers.
+template <typename T>
+void expect_sections_match_oracle(const std::vector<u8>& stream,
+                                  std::span<const T> data, Dims dims,
+                                  const std::string& where) {
+  const StreamInfo info = inspect(stream);
+  std::vector<u32> shuffled;
+  std::vector<Outlier> outliers;
+  if (info.quant == QuantVersion::V2Optimized) {
+    shuffled = reference_fused(data, dims, info.abs_eb).shuffled;
+  } else {
+    std::vector<i64> pq(data.size());
+    prequantize(data, info.abs_eb, pq);
+    lorenzo_forward(pq, dims, pq);
+    pq[0] = 0;
+    std::vector<u32> words(round_up(data.size(), kCodesPerTile) / 2, 0u);
+    quant_encode_v1(
+        pq, kV1Radius,
+        std::span<u16>{reinterpret_cast<u16*>(words.data()), pq.size()},
+        outliers);
+    shuffled.resize(words.size());
+    bitshuffle_tiles(words, shuffled);
+  }
+  const EncodeResult want = encode_blocks(shuffled);
+  const u8* flags = stream.data() + info.header_bytes;
+  const u8* blocks = flags + info.bit_flag_bytes;
+  const u8* rec = blocks + info.block_bytes;
+  ASSERT_EQ(info.bit_flag_bytes, want.bit_flags.size()) << where;
+  EXPECT_TRUE(std::equal(want.bit_flags.begin(), want.bit_flags.end(), flags))
+      << where;
+  ASSERT_EQ(info.block_bytes, want.blocks.size() * sizeof(u32)) << where;
+  const u8* want_blocks = reinterpret_cast<const u8*>(want.blocks.data());
+  EXPECT_TRUE(std::equal(blocks, blocks + info.block_bytes, want_blocks))
+      << where;
+  ASSERT_EQ(info.outlier_bytes, outliers.size() * 8) << where;
+  for (const Outlier& o : outliers) {
+    EXPECT_EQ(load_le<u32>(rec), o.index) << where;
+    EXPECT_EQ(load_le<i32>(rec + 4), o.delta) << where;
+    rec += 8;
+  }
+  EXPECT_EQ(rec, stream.data() + stream.size()) << where;
+}
 
+/// Streams identical to the unfused reference graph's for every worker
+/// count, with sections matching the oracle.  Returns the stream.
+template <typename T>
+std::vector<u8> check_codec_streams(const std::vector<T>& data, Dims dims, double eb,
+                         QuantVersion quant = QuantVersion::V2Optimized) {
   FzParams params;
-  params.eb = ErrorBound::absolute(1e-3);
-  const std::vector<u8> want =
-      reference_compress(std::span<const f32>{data}, dims, params);
+  params.eb = ErrorBound::absolute(eb);
+  params.quant = quant;
+  const std::span<const T> span{data};
+  const std::vector<u8> want = reference_compress(span, dims, params);
+  const std::string shape = std::to_string(dims.x) + "x" +
+                            std::to_string(dims.y) + "x" +
+                            std::to_string(dims.z);
+  expect_sections_match_oracle(want, span, dims, shape);
   for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
                                size_t{8}}) {
     params.fused_workers = workers;
-    EXPECT_EQ(want, Codec(params).compress(data, dims).bytes)
-        << "workers " << workers;
+    EXPECT_EQ(want, Codec(params).compress(span, dims).bytes)
+        << shape << " workers " << workers;
   }
+  return want;
+}
+
+TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
+  const Dims dims{64, 256};
+  const auto data = field<f32>(dims, 91);
+  check_codec_streams(data, dims, 1e-3);
+
+  // Constant: no nonzero block.  Uniform noise far above the bound: every
+  // block nonzero.  Counts ending mid-tile, in 1-D and 2-D.  Enough tiles
+  // that the compaction splits across threads.
+  const std::vector<f32> flat(dims.count(), 7.25f);
+  EXPECT_EQ(inspect(check_codec_streams(flat, dims, 1e-3)).nonzero_blocks, 0u);
+  Rng rng(5);
+  std::vector<f32> noise(dims.count());
+  for (f32& x : noise) x = static_cast<f32>(rng.uniform(-30, 30));
+  const StreamInfo noisy = inspect(check_codec_streams(noise, dims, 1e-3));
+  EXPECT_EQ(noisy.nonzero_blocks, noisy.total_blocks);
+  for (const Dims mid : {Dims{5000}, Dims{97, 33}, Dims{512, 600}})
+    check_codec_streams(field<f32>(mid, 17 + mid.count()), mid, 1e-3);
+
+  // V1 with outliers: the outlier section follows the blocks directly.
+  std::vector<f32> spiky = data;
+  for (size_t i = 0; i < spiky.size(); i += 97) spiky[i] += 50.0f;
+  EXPECT_GT(inspect(check_codec_streams(spiky, dims, 1e-3,
+                                        QuantVersion::V1Original))
+                .outlier_bytes,
+            0u);
 
   // Decompression's chunked scans must also be schedule-independent: the
   // same stream reconstructs to identical bytes for every worker count.
   FzParams dp;
   dp.eb = ErrorBound::absolute(1e-3);
   dp.fused_workers = 1;
+  const std::vector<u8> want =
+      reference_compress(std::span<const f32>{data}, dims, dp);
   Codec ref(dp);
   const std::vector<f32> base = ref.decompress(want).data;
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{3}, size_t{8}}) {
@@ -234,16 +321,25 @@ TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
 TEST(FusedParallel, F64CodecStreamsIdenticalAcrossWorkerSettings) {
   const Dims dims{24, 20, 20};
   const auto data = field<f64>(dims, 13);
+  check_codec_streams(data, dims, 1e-4);
 
-  FzParams params;
-  params.eb = ErrorBound::absolute(1e-4);
-  const std::vector<u8> want =
-      reference_compress(std::span<const f64>{data}, dims, params);
-  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    params.fused_workers = workers;
-    EXPECT_EQ(want, Codec(params).compress(data, dims).bytes)
-        << "workers " << workers;
-  }
+  const std::vector<f64> flat(dims.count(), -3.5);
+  EXPECT_EQ(inspect(check_codec_streams(flat, dims, 1e-4)).nonzero_blocks, 0u);
+  Rng rng(9);
+  std::vector<f64> noise(Dims{64, 64, 4}.count());
+  for (f64& x : noise) x = rng.uniform(-3, 3);
+  const StreamInfo noisy =
+      inspect(check_codec_streams(noise, Dims{64, 64, 4}, 1e-4));
+  EXPECT_EQ(noisy.nonzero_blocks, noisy.total_blocks);
+  for (const Dims mid : {Dims{2049}, Dims{33, 17, 9}, Dims{80, 64, 60}})
+    check_codec_streams(field<f64>(mid, 23 + mid.count()), mid, 1e-4);
+
+  std::vector<f64> spiky = data;
+  for (size_t i = 0; i < spiky.size(); i += 53) spiky[i] -= 20.0;
+  EXPECT_GT(inspect(check_codec_streams(spiky, dims, 1e-4,
+                                        QuantVersion::V1Original))
+                .outlier_bytes,
+            0u);
 }
 
 }  // namespace

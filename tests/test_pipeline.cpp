@@ -414,10 +414,20 @@ TEST(PipelineFormat, InspectValidatesNotJustTheMagic) {
   for (size_t i = 16; i < 16 + 8; ++i) huge[i] = 0xff;  // nx = 2^64 - 1
   EXPECT_THROW(inspect(huge), FormatError);
 
-  // The non-throwing twin maps every one of those to InvalidStream.
+  // An error bound of +inf (abs_eb's top bytes) would restore NaN.
+  std::vector<u8> inf_eb = corrupt(55, 0x7f);
+  inf_eb[54] = 0xf0;
+  for (size_t i = 48; i < 54; ++i) inf_eb[i] = 0;
+  EXPECT_THROW(inspect(inf_eb), FormatError);
+
+  // The non-throwing twins map every one of those to InvalidStream.
   StreamInfo si;
   EXPECT_EQ(try_inspect(tiny, si).code(), StatusCode::InvalidStream);
   EXPECT_EQ(try_inspect(huge, si).code(), StatusCode::InvalidStream);
+  EXPECT_EQ(try_inspect(inf_eb, si).code(), StatusCode::InvalidStream);
+  std::vector<f32> out(f.count());
+  EXPECT_EQ(Codec().try_decompress_into(inf_eb, std::span<f32>{out}).code(),
+            StatusCode::InvalidStream);
   EXPECT_TRUE(try_inspect(c.bytes, si).ok());
   EXPECT_EQ(si.count, f.count());
 }

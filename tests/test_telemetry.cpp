@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,6 +49,30 @@ double find_arg(const TraceEvent& ev, const char* key) {
   return -1;
 }
 
+/// Every `child` span lies on the thread of the one `parent` span, deeper,
+/// and inside its time range; returns how many there are.
+size_t expect_children_of(const Sink& sink, std::string_view parent,
+                          std::string_view child) {
+  const auto events = sink.snapshot();
+  const auto p = std::find_if(
+      events.begin(), events.end(),
+      [&](const TraceEvent& ev) { return std::string_view{ev.name} == parent; });
+  if (p == events.end()) {
+    ADD_FAILURE() << "no " << parent << " span";
+    return 0;
+  }
+  size_t n = 0;
+  for (const TraceEvent& ev : events) {
+    if (std::string_view{ev.name} != child) continue;
+    ++n;
+    EXPECT_EQ(ev.tid, p->tid) << child;
+    EXPECT_GT(ev.depth, p->depth) << child;
+    EXPECT_GE(ev.start_ns, p->start_ns) << child;
+    EXPECT_LE(ev.start_ns + ev.dur_ns, p->start_ns + p->dur_ns) << child;
+  }
+  return n;
+}
+
 TEST(Telemetry, UnfusedCompressEmitsOneSpanPerStage) {
   const std::vector<f32> data = wave(4096, 3);
   Sink sink;
@@ -63,6 +88,8 @@ TEST(Telemetry, UnfusedCompressEmitsOneSpanPerStage) {
                             "bitshuffle-mark", "prefix-sum-encode", "assemble"})
     EXPECT_EQ(counts.at(stage), 1u) << stage;
   EXPECT_EQ(counts.count("fused-quant-shuffle-mark"), 0u);
+  EXPECT_EQ(expect_children_of(sink, "prefix-sum-encode", "encode-compact"),
+            1u);
 }
 
 TEST(Telemetry, FusedCompressEmitsOneSpanPerStage) {
@@ -81,6 +108,16 @@ TEST(Telemetry, FusedCompressEmitsOneSpanPerStage) {
     EXPECT_EQ(counts.at(stage), 1u) << stage;
   EXPECT_EQ(counts.count("dual-quant"), 0u);
   EXPECT_EQ(counts.count("bitshuffle-mark"), 0u);
+  EXPECT_EQ(expect_children_of(sink, "prefix-sum-encode", "encode-compact"),
+            1u);
+  // Only a point-wise relative bound runs the log pass, inside resolve.
+  EXPECT_EQ(counts.count("log-transform"), 0u);
+  Sink log_sink;
+  params.eb = ErrorBound::pointwise_relative(1e-3);
+  params.telemetry = &log_sink;
+  Codec(params).compress(data, Dims{data.size()});
+  EXPECT_EQ(expect_children_of(log_sink, "resolve-transform", "log-transform"),
+            1u);
 }
 
 TEST(Telemetry, DecompressAndF64EmitOneSpanPerStage) {
@@ -104,24 +141,8 @@ TEST(Telemetry, DecompressAndF64EmitOneSpanPerStage) {
 
   // The fused decode's serial phases get their own spans, recorded on the
   // run thread inside "fused-decode".
-  const auto events = sink.snapshot();
-  const auto decode = std::find_if(events.begin(), events.end(),
-                                   [](const TraceEvent& ev) {
-                                     return std::string_view{ev.name} ==
-                                            "fused-decode";
-                                   });
-  ASSERT_NE(decode, events.end());
-  for (const char* phase : {"decode-offsets", "decode-carry"}) {
-    EXPECT_EQ(counts.at(phase), 1u) << phase;
-    for (const TraceEvent& ev : events) {
-      if (std::string_view{ev.name} != phase) continue;
-      EXPECT_EQ(ev.tid, decode->tid) << phase;
-      EXPECT_GT(ev.depth, decode->depth) << phase;
-      EXPECT_GE(ev.start_ns, decode->start_ns) << phase;
-      EXPECT_LE(ev.start_ns + ev.dur_ns, decode->start_ns + decode->dur_ns)
-          << phase;
-    }
-  }
+  for (const char* phase : {"decode-offsets", "decode-carry"})
+    EXPECT_EQ(expect_children_of(sink, "fused-decode", phase), 1u) << phase;
 
   // A V1 stream decompresses through the unfused graph's classic stages.
   Sink unfused_sink;
