@@ -1,19 +1,20 @@
-// Random-access regression bench (PR6 reader subsystem): slice reads
-// through fz::Reader vs. full-stream decompression, the cold/hot cache
-// split, a many-reader concurrency sweep over one shared Reader, and the
-// sequential-sweep prefetch hit rate.  Byte-identity of every slice
-// against the full decompress is asserted while measuring.  Emits a
-// machine-readable JSON report (default BENCH_pr6.json) consumed by
-// scripts/bench_smoke.sh; the human table goes to stdout.
+// Random-access regression bench: slice reads through fz::Reader vs.
+// full-stream decompression, the cold/hot cache split, a many-reader
+// concurrency sweep over one shared Reader, and the sequential-sweep
+// prefetch hit rate.  Rows go to stdout, then one line per within-run gate
+// (bench/gates.hpp); the exit status is 1, naming each failed gate, when
+// any gate fails:
 //
-// Usage: random_access [--scale S] [--iters N] [--out FILE]
+//   slice-identity   every slice equals the same region of the full decode
+//   hot-hit-rate     re-reads on a warm Reader hit the cache every time
+//   prefetch         the sequential sweep issues prefetches and hits them
+//   hot-vs-cold      hot re-reads >= 2x cold reads (a lost gap means
+//                    decodes are being repeated)
+//
+// Usage: random_access [--scale S] [--iters N]
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/rng.hpp"
 #include "core/chunked.hpp"
 #include "datasets/generators.hpp"
+#include "gates.hpp"
 #include "reader/reader.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -28,20 +30,8 @@ namespace {
 
 using namespace fz;
 
-double min_seconds(int iters, const std::function<void()>& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-double gbps(size_t bytes, double secs) {
-  return static_cast<double>(bytes) / secs / 1e9;
-}
+using bench::gbps;
+using bench::min_seconds;
 
 /// A reproducible batch of random interior slices (each a y/z-slab window,
 /// so every read touches a strict subset of the chunks).
@@ -78,14 +68,12 @@ std::vector<f32> reference_slice(const std::vector<f32>& full, Dims d,
 int main(int argc, char** argv) {
   double scale = 0.12;
   int iters = 3;
-  std::string out_path = "BENCH_pr6.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale" && i + 1 < argc) scale = std::stod(argv[++i]);
     else if (arg == "--iters" && i + 1 < argc) iters = std::stoi(argv[++i]);
-    else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
     else {
-      std::cerr << "usage: random_access [--scale S] [--iters N] [--out FILE]\n";
+      std::cerr << "usage: random_access [--scale S] [--iters N]\n";
       return 2;
     }
   }
@@ -102,7 +90,7 @@ int main(int argc, char** argv) {
   const std::vector<f32> full = fz_decompress_chunked(comp.bytes).data;
   const size_t chunks = fz_chunk_count(comp.bytes);
 
-  std::cout << "PR6 random-access bench: scale=" << scale << " iters=" << iters
+  std::cout << "random-access bench: scale=" << scale << " iters=" << iters
             << " dims=" << dims.to_string() << " chunks=" << chunks
             << " hw threads=" << hw_threads << "\n\n";
 
@@ -159,13 +147,10 @@ int main(int argc, char** argv) {
   std::printf("%-28s %8.3f GB/s\n", "random slices (cold cache)", cold_gbps);
   std::printf("%-28s %8.3f GB/s  (hit rate %.2f)\n",
               "random slices (hot cache)", hot_gbps, hot_hit_rate);
-  std::printf("%-28s %8s\n", "slices byte-identical",
-              byte_identical ? "yes" : "NO");
 
   // ---- many-reader concurrency sweep over one shared Reader ----------------
   std::vector<size_t> caller_counts{1, 2, 4};
   if (hw_threads > 4) caller_counts.push_back(hw_threads);
-  std::vector<std::pair<size_t, double>> concurrency;
   for (const size_t callers : caller_counts) {
     Reader reader(comp.bytes, ReaderOptions{});
     // Warm once so the sweep measures concurrent cache service, not a
@@ -190,9 +175,8 @@ int main(int argc, char** argv) {
     for (size_t c = 0; c < callers; ++c)
       for (const Slice& s : random_slices(dims, 24, 100 + c))
         batch_bytes += s.count() * sizeof(f32);
-    concurrency.emplace_back(callers, gbps(batch_bytes, secs));
     std::printf("shared reader, %2zu callers  %8.3f GB/s\n", callers,
-                concurrency.back().second);
+                gbps(batch_bytes, secs));
   }
 
   // ---- sequential sweep: prefetch effectiveness ----------------------------
@@ -214,40 +198,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sweep.prefetch_issued),
               static_cast<unsigned long long>(sweep.prefetch_hits));
 
-  // ---- JSON report ---------------------------------------------------------
-  std::string json = "{\n";
-  char tmp[256];
-  std::snprintf(tmp, sizeof(tmp),
-                "  \"scale\": %g,\n  \"iters\": %d,\n  \"chunks\": %zu,\n",
-                scale, iters, chunks);
-  json += tmp;
-  std::snprintf(tmp, sizeof(tmp), "  \"byte_identical\": %s,\n",
-                byte_identical ? "true" : "false");
-  json += tmp;
-  std::snprintf(tmp, sizeof(tmp),
-                "  \"full_decompress_gbps\": %.6g,\n"
-                "  \"cold_slice_gbps\": %.6g,\n"
-                "  \"hot_slice_gbps\": %.6g,\n"
-                "  \"hot_hit_rate\": %.6g,\n",
-                full_gbps, cold_gbps, hot_gbps, hot_hit_rate);
-  json += tmp;
-  json += "  \"concurrency_gbps\": {";
-  for (size_t i = 0; i < concurrency.size(); ++i) {
-    std::snprintf(tmp, sizeof(tmp), "%s\"%zu\": %.6g",
-                  i == 0 ? "" : ", ", concurrency[i].first,
-                  concurrency[i].second);
-    json += tmp;
-  }
-  json += "},\n";
-  std::snprintf(tmp, sizeof(tmp),
-                "  \"prefetch_issued\": %llu,\n  \"prefetch_hits\": %llu\n",
-                static_cast<unsigned long long>(sweep.prefetch_issued),
-                static_cast<unsigned long long>(sweep.prefetch_hits));
-  json += tmp;
-  json += "}\n";
-
-  std::ofstream out_file(out_path, std::ios::binary);
-  out_file << json;
-  std::cout << "\nreport written to " << out_path << "\n";
-  return byte_identical ? 0 : 1;
+  std::cout << "\n";
+  bench::Gates gates("random_access");
+  gates.check("slice-identity", byte_identical,
+              "every slice equals the full decompress");
+  gates.check("hot-hit-rate", hot_hit_rate >= 1.0,
+              bench::format("%.2f, need 1.00", hot_hit_rate));
+  gates.check("prefetch", sweep.prefetch_issued > 0 && sweep.prefetch_hits > 0,
+              bench::format("issued %llu, hits %llu, need both > 0",
+                            static_cast<unsigned long long>(sweep.prefetch_issued),
+                            static_cast<unsigned long long>(sweep.prefetch_hits)));
+  gates.at_least("hot-vs-cold", "hot / cold",
+                 hot_gbps / std::max(cold_gbps, 1e-12), 2.0);
+  return gates.exit_code();
 }

@@ -1,36 +1,33 @@
-// Performance regression bench (PR3 stages + PR5 tile parallelism):
-// wall-clock GB/s of each vectorized pipeline stage at every SIMD dispatch
-// level, end-to-end compression throughput for the {unfused, fused-parallel}
-// x {scalar, best-SIMD} configs on the tier-1 benchmark suite, a
-// fused-parallel thread-scaling sweep (1/2/4/max workers, compress AND
-// decompress), and decompression throughput.  Emits a machine-readable JSON
-// report (default BENCH_pr5.json) consumed by scripts/bench_smoke.sh; the
-// human table goes to stdout.  Byte-identity of every config's stream
-// against the scalar-unfused reference is asserted while measuring.  The
-// unfused rows drive the reference graph (make_compress_stages /
-// make_decompress_stages) over a PipelineContext directly; fz::Codec runs
-// V2 through the fused graphs.  "prequant-f32" times the unfused graph's
-// exact f32 row, "prequant-f32fast" the float row every fused row and
-// config uses, so the identity asserts compare the two on every dataset.
+// Performance regression bench: wall-clock GB/s of each vectorized
+// pipeline stage at every SIMD dispatch level, end-to-end compression for
+// the {unfused, fused-parallel} x {scalar, best-SIMD} configs on the tier-1
+// benchmark suite, a fused-parallel thread-scaling sweep (1/2/4/max
+// workers, compress and decompress), a gap-array Huffman decode sweep
+// (1/2/4/max workers table-driven, plus the bit-serial walk at one worker),
+// fused vs classic (staged) decompression per dataset, and a 3-D z-carry
+// chunked-scan thread sweep on a flat volume.  The unfused rows drive the
+// reference graph (make_compress_stages / make_decompress_stages) over a
+// PipelineContext directly; fz::Codec runs V2 through the fused graphs.
+// "prequant-f32" times the unfused graph's exact f32 row,
+// "prequant-f32fast" the float row every fused row and config uses, so the
+// identity gates compare the two on every dataset.
 //
-// PR8 adds a gap-array Huffman decode sweep: per-dataset quantization codes
-// are Huffman-encoded once, then decoded at 1/2/4/max workers (table-driven)
-// plus the bit-serial ablation at one worker, with symbol identity asserted
-// on every timed run.  Those rows go to a second report (default
-// BENCH_pr8.json), gated separately by scripts/bench_smoke.sh.
+// Tables go to stdout, then one line per within-run gate (bench/gates.hpp);
+// the exit status is 1, naming each failed gate, when any gate fails:
 //
-// PR10 adds the decompress mirror: end-to-end fused vs classic (staged)
-// decompression per dataset with byte-identity asserted on every timed run,
-// plus a 3-D z-carry chunked-scan thread sweep on a flat volume (the shape
-// whose y-extent is too small for the row-parallel path).  Those rows go to
-// a third report (default BENCH_pr10.json), gated by scripts/bench_smoke.sh.
+//   stream-identity      every config's stream equals unfused-scalar's
+//   fused-speedup        best fused-parallel-simd / unfused-scalar >= 1.5
+//   huffman-identity     every decode path returns the encoded symbols
+//   huffman-parallel     each dataset: max workers >= 0.95 x one worker
+//   huffman-table        each dataset: table-driven >= 2 x bit-serial
+//   decompress-identity  fused restores the classic graph's bytes
+//   fused-decompress     each dataset: fused >= 0.95 x classic
+//   zscan-identity       chunked z-scan bytes equal the serial scan's
+//   zscan-scaling        z-scan max workers >= 0.95 x one worker
 //
-// Usage: regress [--scale S] [--iters N] [--out FILE] [--huff-out FILE]
-//                [--pr10-out FILE]
+// Usage: regress [--scale S] [--iters N]
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -49,6 +46,7 @@
 #include "core/quantizer.hpp"
 #include "core/stages.hpp"
 #include "datasets/generators.hpp"
+#include "gates.hpp"
 #include "harness/tables.hpp"
 #include "substrate/histogram.hpp"
 #include "substrate/huffman.hpp"
@@ -58,20 +56,10 @@ namespace {
 
 using namespace fz;
 
-double min_seconds(int iters, const std::function<void()>& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
+using bench::gbps;
+using bench::min_seconds;
 
-double gbps(size_t bytes, double secs) {
-  return static_cast<double>(bytes) / secs / 1e9;
-}
+std::string num(double v) { return bench::format("%.6g", v); }
 
 std::vector<SimdLevel> levels_under_test() {
   std::vector<SimdLevel> levels{SimdLevel::Scalar};
@@ -79,21 +67,14 @@ std::vector<SimdLevel> levels_under_test() {
   return levels;
 }
 
-struct JsonWriter {
-  std::string buf = "{\n";
-  bool first_section = true;
+/// The smallest of a gate's per-dataset ratios, with its dataset.
+struct Worst {
+  std::string dataset;
+  double ratio = std::numeric_limits<double>::infinity();
 
-  void section(const std::string& key) {
-    if (!first_section) buf += ",\n";
-    first_section = false;
-    buf += "  \"" + key + "\": ";
+  void note(const std::string& d, double r) {
+    if (r < ratio) *this = {d, r};
   }
-  static std::string num(double v) {
-    char tmp[64];
-    std::snprintf(tmp, sizeof(tmp), "%.6g", v);
-    return tmp;
-  }
-  std::string finish() { return buf + "\n}\n"; }
 };
 
 /// The unfused reference graphs over one pooled context.  Spans go to the
@@ -120,34 +101,17 @@ struct ReferenceGraphs {
   }
 };
 
-struct StageRow {
-  std::string stage, level;
-  double value_gbps;
-};
-
-struct CompressRow {
-  std::string dataset, config;
-  double value_gbps;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   double scale = 0.12;
   int iters = 3;
-  std::string out_path = "BENCH_pr5.json";
-  std::string huff_out_path = "BENCH_pr8.json";
-  std::string pr10_out_path = "BENCH_pr10.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale" && i + 1 < argc) scale = std::stod(argv[++i]);
     else if (arg == "--iters" && i + 1 < argc) iters = std::stoi(argv[++i]);
-    else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    else if (arg == "--huff-out" && i + 1 < argc) huff_out_path = argv[++i];
-    else if (arg == "--pr10-out" && i + 1 < argc) pr10_out_path = argv[++i];
     else {
-      std::cerr << "usage: regress [--scale S] [--iters N] [--out FILE] "
-                   "[--huff-out FILE] [--pr10-out FILE]\n";
+      std::cerr << "usage: regress [--scale S] [--iters N]\n";
       return 2;
     }
   }
@@ -155,7 +119,7 @@ int main(int argc, char** argv) {
   const auto levels = levels_under_test();
   const SimdLevel best = resolve_simd(SimdDispatch::Auto);
   const size_t hw_threads = max_threads();
-  std::cout << "PR5 regression bench: scale=" << scale << " iters=" << iters
+  std::cout << "regression bench: scale=" << scale << " iters=" << iters
             << " best SIMD level: " << simd_level_name(best)
             << " hw threads: " << hw_threads << "\n\n";
 
@@ -170,18 +134,14 @@ int main(int argc, char** argv) {
   std::vector<i64> pq(padded, 0);
   std::vector<u16> codes(padded, 0);
   std::vector<u32> shuffled(words), unshuffled(words);
-  std::vector<u8> byte_flags(words / kBlockWords),
-      bit_flags(words / kBlockWords / 8);
+  std::vector<u8> bit_flags(words / kBlockWords / 8);
 
-  std::vector<StageRow> stage_rows;
   bench::Table stage_table({"stage", "level", "GB/s"});
   for (const SimdLevel level : levels) {
     const auto add = [&](const std::string& stage, size_t bytes,
                          const std::function<void()>& fn) {
       const double t = min_seconds(iters, fn);
-      stage_rows.push_back({stage, simd_level_name(level), gbps(bytes, t)});
-      stage_table.add_row({stage, simd_level_name(level),
-                           JsonWriter::num(gbps(bytes, t))});
+      stage_table.add_row({stage, simd_level_name(level), num(gbps(bytes, t))});
     };
     add("prequant-f32", n * 4, [&] {
       prequantize_simd(stage_field.values(), abs_eb, std::span<i64>(pq).first(n),
@@ -203,7 +163,7 @@ int main(int argc, char** argv) {
     add("bitshuffle", words * 4,
         [&] { bitshuffle_tiles_simd(code_words, shuffled, level); });
     add("mark", words * 4,
-        [&] { mark_blocks_simd(shuffled, byte_flags, bit_flags, level); });
+        [&] { mark_blocks_simd(shuffled, bit_flags, level); });
     add("bitunshuffle", words * 4,
         [&] { bitunshuffle_tiles_simd(shuffled, unshuffled, level); });
     const FusedParallelPlan plan =
@@ -211,13 +171,13 @@ int main(int argc, char** argv) {
     std::vector<i64> strip_scratch(plan.scratch_elems);
     add("fused-parallel-pipeline", n * 4, [&] {
       fused_quant_shuffle_mark_parallel(
-          stage_field.values(), stage_field.dims, abs_eb, shuffled,
-          byte_flags, bit_flags, strip_scratch, plan, level);
+          stage_field.values(), stage_field.dims, abs_eb, shuffled, bit_flags,
+          strip_scratch, plan, level);
     });
   }
   std::cout << "Stage throughput (" << stage_field.dataset << " "
             << stage_field.dims.to_string() << ", abs eb "
-            << JsonWriter::num(abs_eb) << "):\n";
+            << num(abs_eb) << "):\n";
   stage_table.print(std::cout);
 
   // ---- end-to-end compression: {unfused, fused-parallel} x {scalar, best}
@@ -234,9 +194,8 @@ int main(int argc, char** argv) {
   };
   constexpr size_t kRef = 0, kParallelSimd = 3;
 
-  std::vector<CompressRow> compress_rows;
-  std::vector<std::pair<std::string, double>> speedups;
-  std::vector<CompressRow> decompress_rows;
+  double best_speedup = 0;
+  std::string best_speedup_dataset;
   struct ScalingRow {
     std::string dataset;
     size_t workers;
@@ -265,14 +224,14 @@ int main(int argc, char** argv) {
       if (reference.empty()) reference = bytes;
       else if (bytes != reference) identical = false;
       results.push_back(gbps(f.bytes(), t));
-      compress_rows.push_back({f.dataset, c.name, results.back()});
     }
     const double speedup = results[kParallelSimd] / results[kRef];
-    speedups.emplace_back(f.dataset, speedup);
-    comp_table.add_row({f.dataset, JsonWriter::num(results[0]),
-                        JsonWriter::num(results[1]),
-                        JsonWriter::num(results[kParallelSimd]),
-                        JsonWriter::num(speedup) + "x"});
+    if (speedup > best_speedup) {
+      best_speedup = speedup;
+      best_speedup_dataset = f.dataset;
+    }
+    comp_table.add_row({f.dataset, num(results[0]), num(results[1]),
+                        num(results[kParallelSimd]), num(speedup) + "x"});
 
     // Thread-scaling sweep (compress + decompress) at 1/2/4/max workers.
     // The stream is identical at every worker count (asserted above and in
@@ -291,38 +250,25 @@ int main(int argc, char** argv) {
       const size_t eff = workers == 0 ? hw_threads : workers;
       scaling_rows.push_back(
           {f.dataset, eff, gbps(f.bytes(), tc), gbps(f.bytes(), td)});
-      if (workers == 0)
-        decompress_rows.push_back({f.dataset, "fused-parallel-simd",
-                                   gbps(f.bytes(), td)});
     }
   }
   std::cout << "\nCompression throughput (GB/s), rel eb 1e-3; speedup = "
                "fused-parallel-simd over unfused-scalar:\n";
   comp_table.print(std::cout);
-  std::cout << "\nstreams byte-identical across configs: "
-            << (identical ? "yes" : "NO — BUG") << "\n";
 
   bench::Table scale_table(
       {"dataset", "workers", "compress GB/s", "decompress GB/s"});
   for (const ScalingRow& r : scaling_rows)
     scale_table.add_row({r.dataset, std::to_string(r.workers),
-                         JsonWriter::num(r.compress_gbps),
-                         JsonWriter::num(r.decompress_gbps)});
+                         num(r.compress_gbps), num(r.decompress_gbps)});
   std::cout << "\nFused-parallel thread scaling:\n";
   scale_table.print(std::cout);
 
-  // ---- PR8: gap-array Huffman decode thread scaling ------------------------
+  // ---- gap-array Huffman decode thread scaling ------------------------------
   // Real per-dataset code distributions: v1 quantization codes (the cuSZ
   // baseline's Huffman input), encoded once per dataset with the default
   // gap layout.  Symbol identity is asserted on every timed decode.
-  struct HuffRow {
-    std::string dataset;
-    size_t workers;
-    double value_gbps;
-  };
-  std::vector<HuffRow> huff_rows;
-  std::vector<std::pair<std::string, double>> huff_table_speedup;
-  std::vector<std::pair<std::string, double>> huff_par_vs_serial;
+  Worst huff_parallel, huff_table_speedup;
   bool huff_identical = true;
 
   bench::Table huff_table({"dataset", "w=1", "w=2", "w=4", "w=max",
@@ -350,8 +296,6 @@ int main(int argc, char** argv) {
       });
       if (dec != hsyms) huff_identical = false;
       per_worker.push_back(gbps(bytes, t));
-      huff_rows.push_back(
-          {f.dataset, workers == 0 ? hw_threads : workers, per_worker.back()});
     }
     std::vector<u16> dec_bits;
     const double t_bits = min_seconds(iters, [&] {
@@ -360,28 +304,22 @@ int main(int argc, char** argv) {
     if (dec_bits != hsyms) huff_identical = false;
     if (huffman_decode(legacy, book) != hsyms) huff_identical = false;
     const double bits_gbps = gbps(bytes, t_bits);
-    huff_table_speedup.emplace_back(f.dataset, per_worker[0] / bits_gbps);
-    huff_par_vs_serial.emplace_back(f.dataset, per_worker[3] / per_worker[0]);
-    huff_table.add_row(
-        {f.dataset, JsonWriter::num(per_worker[0]),
-         JsonWriter::num(per_worker[1]), JsonWriter::num(per_worker[2]),
-         JsonWriter::num(per_worker[3]), JsonWriter::num(bits_gbps),
-         JsonWriter::num(huff_table_speedup.back().second) + "x",
-         JsonWriter::num(huff_par_vs_serial.back().second) + "x"});
+    const double table_over_bits = per_worker[0] / bits_gbps;
+    const double par_over_serial = per_worker[3] / per_worker[0];
+    huff_table_speedup.note(f.dataset, table_over_bits);
+    huff_parallel.note(f.dataset, par_over_serial);
+    huff_table.add_row({f.dataset, num(per_worker[0]), num(per_worker[1]),
+                        num(per_worker[2]), num(per_worker[3]),
+                        num(bits_gbps), num(table_over_bits) + "x",
+                        num(par_over_serial) + "x"});
   }
   std::cout << "\nGap-array Huffman decode throughput (GB/s of decoded "
                "symbols); table/bits = table-driven over bit-serial at one "
                "worker, par/serial = max workers over one worker:\n";
   huff_table.print(std::cout);
-  std::cout << "decoded symbols identical across every path: "
-            << (huff_identical ? "yes" : "NO — BUG") << "\n";
 
-  // ---- PR10: fused vs classic decompress + 3-D z-carry scan scaling --------
-  struct FusedDecompRow {
-    std::string dataset;
-    double fused_gbps, unfused_gbps;
-  };
-  std::vector<FusedDecompRow> fused_decomp_rows;
+  // ---- fused vs classic decompress + 3-D z-carry scan scaling ---------------
+  Worst fused_decompress;
   bool decomp_identical = true;
 
   bench::Table fd_table({"dataset", "fused GB/s", "classic GB/s", "ratio"});
@@ -400,28 +338,19 @@ int main(int argc, char** argv) {
         min_seconds(iters, [&] { classic.decompress(comp.bytes, b); });
     if (std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) != 0)
       decomp_identical = false;
-    fused_decomp_rows.push_back(
-        {f.dataset, gbps(f.bytes(), t_on), gbps(f.bytes(), t_off)});
-    fd_table.add_row(
-        {f.dataset, JsonWriter::num(fused_decomp_rows.back().fused_gbps),
-         JsonWriter::num(fused_decomp_rows.back().unfused_gbps),
-         JsonWriter::num(fused_decomp_rows.back().fused_gbps /
-                         fused_decomp_rows.back().unfused_gbps) +
-             "x"});
+    const double fused_gbps = gbps(f.bytes(), t_on);
+    const double classic_gbps = gbps(f.bytes(), t_off);
+    fused_decompress.note(f.dataset, fused_gbps / classic_gbps);
+    fd_table.add_row({f.dataset, num(fused_gbps), num(classic_gbps),
+                      num(fused_gbps / classic_gbps) + "x"});
   }
   std::cout << "\nFused vs classic decompression (GB/s of restored f32):\n";
   fd_table.print(std::cout);
-  std::cout << "restored fields byte-identical fused vs classic: "
-            << (decomp_identical ? "yes" : "NO — BUG") << "\n";
 
   // Chunked z-carry sweep: a flat volume (y < workers) so scan_z takes the
   // plane-granular chunked path at workers > 1 and the serial column scan
   // at workers == 1.  Bytes asserted identical at every worker count.
-  struct ZScanRow {
-    size_t workers;
-    double value_gbps;
-  };
-  std::vector<ZScanRow> zscan_rows;
+  std::vector<double> zscan_gbps;
   bool zscan_identical = true;
   {
     // Fixed-size volume (16 MB of i64), independent of --scale: the scan is
@@ -446,167 +375,39 @@ int main(int argc, char** argv) {
       const double t = min_seconds(
           ziters, [&] { lorenzo_inverse(deltas, zdims, out, workers); });
       if (out != reference) zscan_identical = false;
-      zscan_rows.push_back(
-          {workers == 0 ? hw_threads : workers, gbps(zbytes, t)});
-      z_table.add_row({std::to_string(zscan_rows.back().workers),
-                       JsonWriter::num(zscan_rows.back().value_gbps)});
+      zscan_gbps.push_back(gbps(zbytes, t));
+      z_table.add_row({std::to_string(workers == 0 ? hw_threads : workers),
+                       num(zscan_gbps.back())});
     }
     std::cout << "\n3-D z-carry inverse scan thread scaling ("
               << zdims.to_string() << " flat volume):\n";
     z_table.print(std::cout);
-    std::cout << "scan bytes identical across worker counts: "
-              << (zscan_identical ? "yes" : "NO — BUG") << "\n";
   }
 
-  // ---- JSON report ---------------------------------------------------------
-  JsonWriter w;
-  w.section("bench");
-  w.buf += "\"pr5-regress\"";
-  w.section("scale");
-  w.buf += JsonWriter::num(scale);
-  w.section("iters");
-  w.buf += JsonWriter::num(iters);
-  w.section("best_level");
-  w.buf += std::string("\"") + simd_level_name(best) + "\"";
-  w.section("max_threads");
-  w.buf += JsonWriter::num(static_cast<double>(hw_threads));
-  w.section("streams_identical");
-  w.buf += identical ? "true" : "false";
-  w.section("stages");
-  w.buf += "[\n";
-  for (size_t i = 0; i < stage_rows.size(); ++i) {
-    w.buf += "    {\"stage\": \"" + stage_rows[i].stage + "\", \"level\": \"" +
-             stage_rows[i].level +
-             "\", \"gbps\": " + JsonWriter::num(stage_rows[i].value_gbps) + "}" +
-             (i + 1 < stage_rows.size() ? "," : "") + "\n";
-  }
-  w.buf += "  ]";
-  w.section("compress");
-  w.buf += "[\n";
-  for (size_t i = 0; i < compress_rows.size(); ++i) {
-    w.buf += "    {\"dataset\": \"" + compress_rows[i].dataset +
-             "\", \"config\": \"" + compress_rows[i].config +
-             "\", \"gbps\": " + JsonWriter::num(compress_rows[i].value_gbps) +
-             "}" + (i + 1 < compress_rows.size() ? "," : "") + "\n";
-  }
-  w.buf += "  ]";
-  w.section("decompress");
-  w.buf += "[\n";
-  for (size_t i = 0; i < decompress_rows.size(); ++i) {
-    w.buf += "    {\"dataset\": \"" + decompress_rows[i].dataset +
-             "\", \"config\": \"" + decompress_rows[i].config +
-             "\", \"gbps\": " + JsonWriter::num(decompress_rows[i].value_gbps) +
-             "}" + (i + 1 < decompress_rows.size() ? "," : "") + "\n";
-  }
-  w.buf += "  ]";
-  w.section("thread_scaling");
-  w.buf += "[\n";
-  for (size_t i = 0; i < scaling_rows.size(); ++i) {
-    w.buf += "    {\"dataset\": \"" + scaling_rows[i].dataset +
-             "\", \"workers\": " +
-             JsonWriter::num(static_cast<double>(scaling_rows[i].workers)) +
-             ", \"compress_gbps\": " +
-             JsonWriter::num(scaling_rows[i].compress_gbps) +
-             ", \"decompress_gbps\": " +
-             JsonWriter::num(scaling_rows[i].decompress_gbps) + "}" +
-             (i + 1 < scaling_rows.size() ? "," : "") + "\n";
-  }
-  w.buf += "  ]";
-  w.section("speedups");
-  w.buf += "{\n";
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    w.buf += "    \"" + speedups[i].first +
-             "\": " + JsonWriter::num(speedups[i].second) +
-             (i + 1 < speedups.size() ? "," : "") + "\n";
-  }
-  w.buf += "  }";
-
-  std::ofstream out(out_path);
-  out << w.finish();
-  std::cout << "wrote " << out_path << "\n";
-
-  // ---- PR8 JSON report -----------------------------------------------------
-  JsonWriter hw;
-  hw.section("bench");
-  hw.buf += "\"pr8-huffman\"";
-  hw.section("scale");
-  hw.buf += JsonWriter::num(scale);
-  hw.section("iters");
-  hw.buf += JsonWriter::num(iters);
-  hw.section("max_threads");
-  hw.buf += JsonWriter::num(static_cast<double>(hw_threads));
-  hw.section("huffman_identical");
-  hw.buf += huff_identical ? "true" : "false";
-  hw.section("huffman_decode");
-  hw.buf += "[\n";
-  for (size_t i = 0; i < huff_rows.size(); ++i) {
-    hw.buf += "    {\"dataset\": \"" + huff_rows[i].dataset +
-              "\", \"workers\": " +
-              JsonWriter::num(static_cast<double>(huff_rows[i].workers)) +
-              ", \"gbps\": " + JsonWriter::num(huff_rows[i].value_gbps) + "}" +
-              (i + 1 < huff_rows.size() ? "," : "") + "\n";
-  }
-  hw.buf += "  ]";
-  hw.section("huffman_table_speedup");
-  hw.buf += "{\n";
-  for (size_t i = 0; i < huff_table_speedup.size(); ++i) {
-    hw.buf += "    \"" + huff_table_speedup[i].first +
-              "\": " + JsonWriter::num(huff_table_speedup[i].second) +
-              (i + 1 < huff_table_speedup.size() ? "," : "") + "\n";
-  }
-  hw.buf += "  }";
-  hw.section("huffman_parallel_vs_serial");
-  hw.buf += "{\n";
-  for (size_t i = 0; i < huff_par_vs_serial.size(); ++i) {
-    hw.buf += "    \"" + huff_par_vs_serial[i].first +
-              "\": " + JsonWriter::num(huff_par_vs_serial[i].second) +
-              (i + 1 < huff_par_vs_serial.size() ? "," : "") + "\n";
-  }
-  hw.buf += "  }";
-
-  std::ofstream huff_out(huff_out_path);
-  huff_out << hw.finish();
-  std::cout << "wrote " << huff_out_path << "\n";
-
-  // ---- PR10 JSON report ----------------------------------------------------
-  JsonWriter pw;
-  pw.section("bench");
-  pw.buf += "\"pr10-fused-decompress\"";
-  pw.section("scale");
-  pw.buf += JsonWriter::num(scale);
-  pw.section("iters");
-  pw.buf += JsonWriter::num(iters);
-  pw.section("max_threads");
-  pw.buf += JsonWriter::num(static_cast<double>(hw_threads));
-  pw.section("decompress_identical");
-  pw.buf += decomp_identical ? "true" : "false";
-  pw.section("zscan_identical");
-  pw.buf += zscan_identical ? "true" : "false";
-  pw.section("fused_decompress");
-  pw.buf += "[\n";
-  for (size_t i = 0; i < fused_decomp_rows.size(); ++i) {
-    pw.buf += "    {\"dataset\": \"" + fused_decomp_rows[i].dataset +
-              "\", \"fused_gbps\": " +
-              JsonWriter::num(fused_decomp_rows[i].fused_gbps) +
-              ", \"unfused_gbps\": " +
-              JsonWriter::num(fused_decomp_rows[i].unfused_gbps) + "}" +
-              (i + 1 < fused_decomp_rows.size() ? "," : "") + "\n";
-  }
-  pw.buf += "  ]";
-  pw.section("zscan_scaling");
-  pw.buf += "[\n";
-  for (size_t i = 0; i < zscan_rows.size(); ++i) {
-    pw.buf += "    {\"workers\": " +
-              JsonWriter::num(static_cast<double>(zscan_rows[i].workers)) +
-              ", \"gbps\": " + JsonWriter::num(zscan_rows[i].value_gbps) +
-              "}" + (i + 1 < zscan_rows.size() ? "," : "") + "\n";
-  }
-  pw.buf += "  ]";
-
-  std::ofstream pr10_out(pr10_out_path);
-  pr10_out << pw.finish();
-  std::cout << "wrote " << pr10_out_path << "\n";
-  return identical && huff_identical && decomp_identical && zscan_identical
-             ? 0
-             : 1;
+  // ---- within-run gates -----------------------------------------------------
+  std::cout << "\n";
+  bench::Gates gates("regress");
+  gates.check("stream-identity", identical,
+              "every config's stream equals unfused-scalar's");
+  gates.at_least("fused-speedup",
+                 "best fused / unfused (" + best_speedup_dataset + ")",
+                 best_speedup, 1.5);
+  gates.check("huffman-identity", huff_identical,
+              "every decode path returns the encoded symbols");
+  gates.at_least("huffman-parallel",
+                 "min max-workers / one-worker (" + huff_parallel.dataset + ")",
+                 huff_parallel.ratio, 0.95);
+  gates.at_least("huffman-table",
+                 "min table / bit-serial (" + huff_table_speedup.dataset + ")",
+                 huff_table_speedup.ratio, 2.0);
+  gates.check("decompress-identity", decomp_identical,
+              "fused restores the classic graph's bytes");
+  gates.at_least("fused-decompress",
+                 "min fused / classic (" + fused_decompress.dataset + ")",
+                 fused_decompress.ratio, 0.95);
+  gates.check("zscan-identity", zscan_identical,
+              "chunked z-scan bytes equal the serial scan's");
+  gates.at_least("zscan-scaling", "max-workers / one-worker",
+                 zscan_gbps.back() / zscan_gbps.front(), 0.95);
+  return gates.exit_code();
 }

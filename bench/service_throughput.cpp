@@ -1,47 +1,39 @@
-// Service-harness regression bench (PR9 fz::Service / fzd): compress jobs
-// streamed through the long-lived service vs. the same work on a direct
-// fz::Codec, the multi-client scaling of the worker pool, client-observed
-// job-latency percentiles, and a queue-saturation segment that must
-// produce explicit QueueFull backpressure.  Byte-identity of every service
-// response against the direct codec is asserted while measuring.  Emits a
-// machine-readable JSON report (default BENCH_pr9.json) consumed by
-// scripts/bench_smoke.sh; the human table goes to stdout.
+// Service-harness regression bench: compress jobs streamed through the
+// long-lived fz::Service vs. the same work on a direct fz::Codec, the
+// multi-client scaling of the worker pool, client-observed job-latency
+// percentiles, and a queue-saturation segment.  Rows go to stdout, then
+// one line per within-run gate (bench/gates.hpp); the exit status is 1,
+// naming each failed gate, when any gate fails:
 //
-// Usage: service_throughput [--scale S] [--iters N] [--out FILE]
+//   service-identity    every response equals the direct Codec's stream
+//   service-vs-direct   one-worker service >= 0.5x the direct codec
+//                       (queueing + wakeup stay small next to the work)
+//   backpressure        the saturated tiny queue rejects with QueueFull
+//                       (never blocks or grows)
+//   dropped-exceptions  the worker pool drops no exception
+//   failed-jobs         no job completes with a failure status
+//
+// Usage: service_throughput [--scale S] [--iters N]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "datasets/generators.hpp"
+#include "gates.hpp"
 #include "service/service.hpp"
 
 namespace {
 
 using namespace fz;
 
-double min_seconds(int iters, const std::function<void()>& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-double gbps(size_t bytes, double secs) {
-  return static_cast<double>(bytes) / secs / 1e9;
-}
+using bench::gbps;
+using bench::min_seconds;
 
 Request make_request(const Field& f) {
   Request req;
@@ -58,15 +50,12 @@ Request make_request(const Field& f) {
 int main(int argc, char** argv) {
   double scale = 0.06;
   int iters = 3;
-  std::string out_path = "BENCH_pr9.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale" && i + 1 < argc) scale = std::stod(argv[++i]);
     else if (arg == "--iters" && i + 1 < argc) iters = std::stoi(argv[++i]);
-    else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
     else {
-      std::cerr << "usage: service_throughput [--scale S] [--iters N] "
-                   "[--out FILE]\n";
+      std::cerr << "usage: service_throughput [--scale S] [--iters N]\n";
       return 2;
     }
   }
@@ -78,7 +67,7 @@ int main(int argc, char** argv) {
   const size_t jobs_per_round = 16;
   const size_t round_bytes = jobs_per_round * field.bytes();
 
-  std::cout << "PR9 service bench: scale=" << scale << " iters=" << iters
+  std::cout << "service bench: scale=" << scale << " iters=" << iters
             << " dims=" << field.dims.to_string() << " hw threads=" << hw
             << "\n\n";
 
@@ -185,30 +174,23 @@ int main(int argc, char** argv) {
   std::printf("%-30s %8llu rejects\n", "saturation backpressure",
               static_cast<unsigned long long>(queue_full));
 
-  const double ratio1 = svc1_gbps / std::max(direct_gbps, 1e-12);
-  const double scaling = svcN_gbps / std::max(svc1_gbps, 1e-12);
-  std::printf("\nservice/direct (1 worker) %.2fx, pool scaling %.2fx, "
-              "byte-identical %s\n",
-              ratio1, scaling, byte_identical ? "yes" : "NO");
+  std::printf("%-30s %8.2fx\n", "pool scaling (all / 1 worker)",
+              svcN_gbps / std::max(svc1_gbps, 1e-12));
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"scale\": " << scale << ",\n"
-      << "  \"iters\": " << iters << ",\n"
-      << "  \"max_threads\": " << hw << ",\n"
-      << "  \"byte_identical\": " << (byte_identical ? "true" : "false")
-      << ",\n"
-      << "  \"direct_gbps\": " << direct_gbps << ",\n"
-      << "  \"service_1w_gbps\": " << svc1_gbps << ",\n"
-      << "  \"service_all_gbps\": " << svcN_gbps << ",\n"
-      << "  \"service_1w_vs_direct\": " << ratio1 << ",\n"
-      << "  \"pool_scaling\": " << scaling << ",\n"
-      << "  \"latency_p50_us\": " << p50 << ",\n"
-      << "  \"latency_p99_us\": " << p99 << ",\n"
-      << "  \"queue_full_rejects\": " << queue_full << ",\n"
-      << "  \"failed_jobs\": " << failed << ",\n"
-      << "  \"dropped_exceptions\": " << dropped << "\n"
-      << "}\n";
-  std::cout << "report written to " << out_path << "\n";
-  return byte_identical && dropped == 0 ? 0 : 1;
+  std::cout << "\n";
+  bench::Gates gates("service_throughput");
+  gates.check("service-identity", byte_identical,
+              "every response equals the direct Codec's stream");
+  gates.at_least("service-vs-direct", "one-worker service / direct codec",
+                 svc1_gbps / std::max(direct_gbps, 1e-12), 0.5);
+  gates.check("backpressure", queue_full > 0,
+              bench::format("%llu QueueFull rejects, need > 0",
+                            static_cast<unsigned long long>(queue_full)));
+  gates.check("dropped-exceptions", dropped == 0,
+              bench::format("%llu dropped, need 0",
+                            static_cast<unsigned long long>(dropped)));
+  gates.check("failed-jobs", failed == 0,
+              bench::format("%llu failed, need 0",
+                            static_cast<unsigned long long>(failed)));
+  return gates.exit_code();
 }

@@ -11,25 +11,23 @@
 #                       direct Codec, policy/params rejection) plus a short
 #                       concurrent soak against the admission queue; re-run
 #                       under the tsan preset in full mode
-#   2. bench smoke    — scripts/bench_smoke.sh guards the SIMD/fused and
-#                       tile-parallel throughput against the checked-in
-#                       BENCH_pr5.json baseline (tolerance via
-#                       FZ_BENCH_TOLERANCE), including the stream-identity
-#                       and fused >= 1.5x unfused gates, and the PR6
-#                       random-access reader gate (byte-identical slices,
-#                       hot-cache hit rate, prefetch effectiveness) via
-#                       BENCH_pr6.json
-#   3. trace smoke    — runs fz_cli under FZ_TRACE and --trace, plus a
-#                       small bench/regress run under FZ_TRACE; in each
-#                       case scripts/validate_trace.py checks the Chrome
-#                       JSON parses, spans nest per thread, and the
-#                       expected stage/chunk spans were recorded — the
-#                       regress trace must contain the per-strip
-#                       "fused-strip" spans of the tile-parallel pass and
-#                       every span of the fused decompress (strips,
-#                       offsets, carries, reconstruct), and
-#                       the cli selftest traces must contain the reader's
-#                       "reader-read" spans plus one pool-worker
+#   2. bench gates    — bench/regress (under FZ_TRACE), bench/random_access
+#                       and bench/service_throughput, each checking its own
+#                       within-run gates (identity, fused vs unfused and vs
+#                       classic, Huffman table vs bit-serial, N workers vs
+#                       one, reader cache and prefetch, service overhead
+#                       and backpressure; docs/PERFORMANCE.md has the
+#                       table) and exiting 1 naming every failed gate; then
+#                       scripts/validate_trace.py checks the regress trace
+#                       holds the per-strip "fused-strip" spans of the
+#                       tile-parallel pass and every span of the fused
+#                       decompress (strips, offsets, carries, reconstruct).
+#                       All three binaries run even after one fails.
+#   3. trace smoke    — runs fz_cli under FZ_TRACE and --trace;
+#                       scripts/validate_trace.py checks the Chrome JSON
+#                       parses, spans nest per thread, and the cli selftest
+#                       traces contain the stage/chunk spans, the reader's
+#                       "reader-read" spans and one pool-worker
 #                       "chunk-fetch" span per container chunk
 #   4. lint-static    — tools/fzlint over src/tools/examples/tests/bench:
 #                       layering DAG, lock/allocation discipline in hot-path
@@ -119,23 +117,28 @@ default_suite() {
   taskset -c 0 ctest --preset default -j "${jobs}"
 }
 
-trace_section() {
-  trace_smoke build/examples/fz_cli
-  # A traced bench run: every env-sink codec in regress records into one
-  # trace, covering the unfused reference graph and the fused-parallel
-  # production graphs — including the per-strip spans of the tile-parallel
-  # compress pass and every phase of the fused decompress.
-  local trace_tmp
-  trace_tmp=$(mktemp -d)
-  FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
-    --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" \
-    --huff-out "${trace_tmp}/huff.json" --pr10-out "${trace_tmp}/pr10.json" \
-    > /dev/null
-  python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
+bench_section() {
+  # Each bench prints one line per gate and exits 1 naming the failed ones.
+  # regress runs traced: every env-sink codec in it records into one trace,
+  # covering the unfused reference graph and the fused-parallel production
+  # graphs.  The gates hold at this scale and iteration count; at smaller
+  # ones the Huffman and decompress ratios are too noisy.
+  local tmp failed=()
+  tmp=$(mktemp -d)
+  FZ_TRACE="${tmp}/regress.json" build/bench/regress --scale 0.12 --iters 5 ||
+    failed+=(regress)
+  python3 scripts/validate_trace.py "${tmp}/regress.json" \
     --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
     prefix-sum-encode encode-compact decompress fused-decode \
-    fused-decode-strip decode-offsets decode-carry reconstruct
-  rm -rf "${trace_tmp}"
+    fused-decode-strip decode-offsets decode-carry reconstruct ||
+    failed+=("regress trace")
+  build/bench/random_access || failed+=(random_access)
+  build/bench/service_throughput || failed+=(service_throughput)
+  rm -rf "${tmp}"
+  if (( ${#failed[@]} != 0 )); then
+    echo "bench gates failed in: ${failed[*]}" >&2
+    exit 1
+  fi
 }
 
 asan_section() {
@@ -195,9 +198,10 @@ run_section() {
 run_section "1 default: build + suite, unpinned and pinned" default_suite
 run_section "1b service smoke: fzd selftest + concurrent soak" \
   service_smoke build/src/fzd
-run_section "2 bench smoke: SIMD + fused-pipeline + random-access guards" \
-  scripts/bench_smoke.sh build/bench/regress build/bench/random_access
-run_section "3 trace smoke: telemetry export validates" trace_section
+run_section "2 bench gates: regress + random_access + service_throughput" \
+  bench_section
+run_section "3 trace smoke: telemetry export validates" \
+  trace_smoke build/examples/fz_cli
 run_section "4 lint-static: fzlint (layering / lock discipline / layout / hygiene)" \
   scripts/lint_gate.sh build
 

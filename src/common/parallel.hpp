@@ -3,12 +3,13 @@
 // for loops, and parallel_range, the one reduction (min, max and
 // all-finite in a single pass, all that resolving an error bound needs
 // from the input).  With OpenMP they compile to omp regions; without it
-// (FZ_ENABLE_OPENMP=OFF) parallel_for/parallel_tasks fall back to a
-// std::thread task crew with the same contract, and parallel_range runs
-// serially.  The `tsan` preset builds without OpenMP deliberately: libgomp
-// is not TSan-instrumented, so its fork/join happens-before edges are
-// invisible and ThreadSanitizer flags correct code; raw std::threads keep
-// the concurrency both real and visible to the tool.
+// (FZ_ENABLE_OPENMP=OFF) parallel_for/parallel_tasks fall back to the
+// std::thread task crew run_task_crew (common/thread_pool.hpp), which has
+// the same contract, and parallel_range runs serially.  The `tsan` preset
+// builds without OpenMP deliberately: libgomp is not TSan-instrumented, so
+// its fork/join happens-before edges are invisible and ThreadSanitizer
+// flags correct code; raw std::threads keep the concurrency both real and
+// visible to the tool.
 #pragma once
 
 #include <atomic>
@@ -51,21 +52,6 @@ inline int thread_index() {
 #endif
 }
 
-namespace detail {
-
-/// std::thread task crew backing parallel_for/parallel_tasks when OpenMP is
-/// unavailable.  Same contract as parallel_tasks: fn(task, worker), tasks
-/// claimed dynamically, worker indices unique, first exception captured and
-/// rethrown on the calling thread (which doubles as worker 0).  The
-/// implementation lives in common/thread_pool.hpp (run_task_crew) so the
-/// fork/join loops and the persistent fz::ThreadPool share one engine.
-template <typename Fn>
-void thread_crew(size_t count, size_t workers, Fn& fn) {
-  run_task_crew(count, workers, fn);
-}
-
-}  // namespace detail
-
 /// Parallel for over [begin, end) with a static schedule.
 /// `fn(i)` must be independent across iterations.
 ///
@@ -103,7 +89,7 @@ void parallel_for(size_t begin, size_t end, Fn&& fn) {
                                                  : static_cast<size_t>(max_threads());
   if (workers > 1) {
     auto task = [&](size_t i, size_t) { fn(begin + i); };
-    detail::thread_crew(count, workers, task);
+    run_task_crew(count, workers, task);
   } else {
     for (size_t i = begin; i < end; ++i) fn(i);
   }
@@ -160,7 +146,7 @@ void parallel_tasks(size_t count, size_t workers, Fn&& fn) {
   }
 #else
   if (workers > 1) {
-    detail::thread_crew(count, workers, fn);
+    run_task_crew(count, workers, fn);
     return;
   }
 #endif

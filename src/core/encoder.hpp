@@ -43,7 +43,7 @@ void mark_blocks(std::span<const u32> words, std::vector<u8>& byte_flags,
 
 /// Allocation-free phase 1: byte_flags.size() == words.size() / 4 and
 /// bit_flags.size() == ceil(byte_flags.size() / 8); both are cleared and
-/// refilled.  The stage graph uses this with pooled buffers.
+/// refilled.  The scalar oracle mark_blocks_simd is tested against.
 void mark_blocks(std::span<const u32> words, std::span<u8> byte_flags,
                  std::span<u8> bit_flags);
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "core/bitshuffle.hpp"
@@ -24,6 +25,9 @@ constexpr size_t kCodesPerTile = kTileBytes / sizeof(u16);  // 2048
 
 constexpr u8 kTransformNone = 0;
 constexpr u8 kTransformLog = 1;
+
+/// One V1 outlier on the stream: u32 index, i32 pre-quantized value.
+constexpr size_t kOutlierBytes = sizeof(u32) + sizeof(i32);
 
 #pragma pack(push, 1)
 struct StreamHeader {
@@ -187,7 +191,9 @@ inline bool is_container(ByteSpan stream) {
 
 /// Validate every self-consistency rule a header must satisfy before any
 /// field is trusted (magic, version, rank, dtype, transform, quant, error
-/// bound, dims vs. count vs. stream size).  Throws FormatError.
+/// bound, dims vs. count vs. stream size, section sizes vs. count and
+/// stream size).  Decode and fz::inspect both apply it, so inspect accepts
+/// exactly the headers decode accepts.  Throws FormatError.
 inline void validate_stream_header(const StreamHeader& h, size_t stream_bytes) {
   FZ_FORMAT_REQUIRE(h.magic == kStreamMagic, "not an FZ stream");
   FZ_FORMAT_REQUIRE(h.version == kStreamVersion,
@@ -217,6 +223,25 @@ inline void validate_stream_header(const StreamHeader& h, size_t stream_bytes) {
                     "dims exceed stream");
   const Dims dims{h.nx, h.ny, h.nz};
   FZ_FORMAT_REQUIRE(dims.count() == h.count && h.count > 0, "bad dims");
+
+  // Sections: one flag bit per 16-byte block of the tile-padded code array,
+  // at most that array's words of blocks, and (V1) the outlier records.
+  // Outlier indices are distinct positions, so their count is bounded by
+  // the field size.  With count bounded by the stream above, no size below
+  // can wrap.
+  const u64 total_words =
+      round_up(h.count, kCodesPerTile) * sizeof(u16) / sizeof(u32);
+  FZ_FORMAT_REQUIRE(h.bit_flag_bytes == div_ceil(total_words / kBlockWords, 8),
+                    "bit-flag section size mismatch");
+  FZ_FORMAT_REQUIRE(h.block_words <= total_words,
+                    "block payload exceeds field size");
+  FZ_FORMAT_REQUIRE(h.outlier_count <= h.count, "too many outliers");
+  const u64 outlier_bytes =
+      quant == QuantVersion::V1Original ? h.outlier_count * kOutlierBytes : 0;
+  FZ_FORMAT_REQUIRE(sizeof(StreamHeader) + h.bit_flag_bytes +
+                            h.block_words * sizeof(u32) + outlier_bytes <=
+                        stream_bytes,
+                    "stream sections exceed the stream");
 }
 
 }  // namespace fz

@@ -155,19 +155,16 @@ void transpose_unit_scalar(const u32* in, u32* out, size_t ostride) {
   for (size_t j = 0; j < kUnitWords; ++j) out[j * ostride] = tmp[j];
 }
 
-// Marks `nblocks` 4-word blocks: byte_flags[blk] in {0,1}, bit_flags packed
-// 8 blocks/byte (tail byte zero-padded) — exactly mark_blocks' output, but
-// written unconditionally so no pre-zeroing pass is needed.
-void mark_rows_scalar(const u32* words, size_t nblocks, u8* byte_flags,
-                      u8* bit_flags) {
+// Marks `nblocks` 4-word blocks into bit_flags, packed 8 blocks/byte (tail
+// byte zero-padded) — exactly mark_blocks' bit output, but written
+// unconditionally so no pre-zeroing pass is needed.
+void mark_rows_scalar(const u32* words, size_t nblocks, u8* bit_flags) {
   for (size_t g = 0; g * 8 < nblocks; ++g) {
     const size_t lim = std::min<size_t>(8, nblocks - g * 8);
     u8 bits = 0;
     for (size_t h = 0; h < lim; ++h) {
       const u32* w = words + (g * 8 + h) * kBlockWords;
-      const u32 nz = w[0] | w[1] | w[2] | w[3];
-      byte_flags[g * 8 + h] = nz != 0 ? u8{1} : u8{0};
-      if (nz != 0) bits |= static_cast<u8>(1u << h);
+      if ((w[0] | w[1] | w[2] | w[3]) != 0) bits |= static_cast<u8>(1u << h);
     }
     bit_flags[g] = bits;
   }
@@ -443,7 +440,6 @@ __attribute__((target("avx2"))) void transpose_unit_avx2(const u32* in,
 
 __attribute__((target("avx2"))) void mark_rows_avx2(const u32* words,
                                                     size_t nblocks,
-                                                    u8* byte_flags,
                                                     u8* bit_flags) {
   const __m256i zero = _mm256_setzero_si256();
   size_t g = 0;
@@ -454,18 +450,14 @@ __attribute__((target("avx2"))) void mark_rows_avx2(const u32* words,
           reinterpret_cast<const __m256i*>(words + (g * 8 + h * 2) * kBlockWords));
       const int zm = _mm256_movemask_pd(
           _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, zero)));
-      const bool nz0 = (zm & 0x3) != 0x3;
-      const bool nz1 = (zm & 0xc) != 0xc;
-      byte_flags[g * 8 + h * 2] = nz0 ? u8{1} : u8{0};
-      byte_flags[g * 8 + h * 2 + 1] = nz1 ? u8{1} : u8{0};
-      if (nz0) bits |= static_cast<u8>(1u << (h * 2));
-      if (nz1) bits |= static_cast<u8>(1u << (h * 2 + 1));
+      if ((zm & 0x3) != 0x3) bits |= static_cast<u8>(1u << (h * 2));
+      if ((zm & 0xc) != 0xc) bits |= static_cast<u8>(1u << (h * 2 + 1));
     }
     bit_flags[g] = bits;
   }
   if (g * 8 < nblocks)
     mark_rows_scalar(words + g * 8 * kBlockWords, nblocks - g * 8,
-                     byte_flags + g * 8, bit_flags + g);
+                     bit_flags + g);
 }
 
 #endif  // FZ_SIMD_X86
@@ -478,7 +470,7 @@ struct KernelOps {
   void (*prequant_f32fast)(const f32*, size_t, double, float, i64*);
   size_t (*encode)(const i64*, size_t, u16*);
   void (*transpose)(const u32*, u32*, size_t);
-  void (*mark)(const u32*, size_t, u8*, u8*);
+  void (*mark)(const u32*, size_t, u8*);
   // Fused Lorenzo delta + encode rows (the tile-parallel strip body).
   size_t (*delta1_encode)(const i64*, size_t, u16*);
   size_t (*delta2_encode)(const i64*, const i64*, size_t, bool, u16*);
@@ -518,11 +510,8 @@ KernelOps ops_for(SimdLevel level) {
 class TileSink {
  public:
   TileSink(const KernelOps& ops, std::span<u32> shuffled,
-           std::span<u8> byte_flags, std::span<u8> bit_flags)
-      : ops_(ops),
-        shuffled_(shuffled.data()),
-        byte_flags_(byte_flags.data()),
-        bit_flags_(bit_flags.data()) {}
+           std::span<u8> bit_flags)
+      : ops_(ops), shuffled_(shuffled.data()), bit_flags_(bit_flags.data()) {}
 
   /// `fn(off, take, out)` writes `take` codes for logical offsets
   /// [off, off + take) directly into the tile buffer and returns its
@@ -560,7 +549,7 @@ class TileSink {
     u32* tout = shuffled_ + tile_index_ * kTileWords;
     for (size_t u = 0; u < kUnitsPerTile; ++u)
       ops_.transpose(words + u * kUnitWords, tout + u, kUnitsPerTile);
-    ops_.mark(tout, kBlocksPerTile, byte_flags_ + tile_index_ * kBlocksPerTile,
+    ops_.mark(tout, kBlocksPerTile,
               bit_flags_ + tile_index_ * (kBlocksPerTile / 8));
     ++tile_index_;
     fill_ = 0;
@@ -568,7 +557,6 @@ class TileSink {
 
   const KernelOps& ops_;
   u32* shuffled_;
-  u8* byte_flags_;
   u8* bit_flags_;
   size_t fill_ = 0;
   size_t tile_index_ = 0;
@@ -631,8 +619,8 @@ template <typename T>
 void run_fused_strip(std::span<const T> data, Dims dims, double inv,
                      const KernelOps& ops, const StripExtent& ext,
                      std::span<i64> scratch, std::span<u32> shuffled,
-                     std::span<u8> byte_flags, std::span<u8> bit_flags,
-                     i64* anchor, size_t* saturated, size_t* halo_out) {
+                     std::span<u8> bit_flags, i64* anchor, size_t* saturated,
+                     size_t* halo_out) {
   // f32 takes the margin-tested float row whenever its error analysis
   // holds, f64 the exact row; both are bit-identical to prequantize.
   const float invf = static_cast<float>(inv);
@@ -651,8 +639,6 @@ void run_fused_strip(std::span<const T> data, Dims dims, double inv,
   TileSink sink(
       ops, shuffled.subspan(ext.first_tile * kTileWords,
                             ext.tile_count * kTileWords),
-      byte_flags.subspan(ext.first_tile * kBlocksPerTile,
-                         ext.tile_count * kBlocksPerTile),
       bit_flags.subspan(ext.first_tile * (kBlocksPerTile / 8),
                         ext.tile_count * (kBlocksPerTile / 8)));
   size_t halo = 0;
@@ -843,7 +829,6 @@ void run_fused_strip(std::span<const T> data, Dims dims, double inv,
 template <typename T>
 FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
                                     double abs_eb, std::span<u32> shuffled,
-                                    std::span<u8> byte_flags,
                                     std::span<u8> bit_flags,
                                     std::span<i64> scratch,
                                     const FusedParallelPlan& plan,
@@ -854,8 +839,7 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
   const size_t padded = round_up(data.size(), kCodesPerTile);
   const size_t words = padded * sizeof(u16) / sizeof(u32);
   FZ_REQUIRE(shuffled.size() == words, "fused: shuffled size mismatch");
-  FZ_REQUIRE(byte_flags.size() == words / kBlockWords &&
-                 bit_flags.size() == words / kBlockWords / 8,
+  FZ_REQUIRE(bit_flags.size() == words / kBlockWords / 8,
              "fused: flag size mismatch");
   FZ_REQUIRE(plan.strips >= 1 && scratch.size() >= plan.scratch_elems,
              "fused: scratch smaller than the plan");
@@ -882,7 +866,7 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
     size_t sat = 0, halo = 0;
     run_fused_strip<T>(data, dims, inv, ops, ext,
                        scratch.subspan(t * per_strip, per_strip), shuffled,
-                       byte_flags, bit_flags, &anchor, &sat, &halo);
+                       bit_flags, &anchor, &sat, &halo);
     saturated.fetch_add(sat, std::memory_order_relaxed);
     if (span.enabled()) {
       span.arg("strip", static_cast<double>(t));
@@ -924,20 +908,18 @@ FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers) {
 
 FusedTileResult fused_quant_shuffle_mark_parallel(
     FloatSpan data, Dims dims, double abs_eb, std::span<u32> shuffled,
-    std::span<u8> byte_flags, std::span<u8> bit_flags,
-    std::span<i64> scratch, const FusedParallelPlan& plan, SimdLevel level,
-    telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, shuffled, byte_flags,
-                             bit_flags, scratch, plan, level, sink);
+    std::span<u8> bit_flags, std::span<i64> scratch,
+    const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
+  return fused_parallel_impl(data, dims, abs_eb, shuffled, bit_flags, scratch,
+                             plan, level, sink);
 }
 
 FusedTileResult fused_quant_shuffle_mark_parallel(
     std::span<const f64> data, Dims dims, double abs_eb,
-    std::span<u32> shuffled, std::span<u8> byte_flags,
-    std::span<u8> bit_flags, std::span<i64> scratch,
+    std::span<u32> shuffled, std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, shuffled, byte_flags,
-                             bit_flags, scratch, plan, level, sink);
+  return fused_parallel_impl(data, dims, abs_eb, shuffled, bit_flags, scratch,
+                             plan, level, sink);
 }
 
 void prequantize_simd(FloatSpan data, double eb, std::span<i64> out,
@@ -1036,20 +1018,18 @@ void bitunshuffle_tiles_simd(std::span<const u32> in, std::span<u32> out,
   });
 }
 
-void mark_blocks_simd(std::span<const u32> words, std::span<u8> byte_flags,
-                      std::span<u8> bit_flags, SimdLevel level) {
+void mark_blocks_simd(std::span<const u32> words, std::span<u8> bit_flags,
+                      SimdLevel level) {
   FZ_REQUIRE(words.size() % kBlockWords == 0,
              "encoder: word count must be a multiple of the block size");
   const size_t nblocks = words.size() / kBlockWords;
-  FZ_REQUIRE(byte_flags.size() == nblocks &&
-                 bit_flags.size() == div_ceil(nblocks, 8),
+  FZ_REQUIRE(bit_flags.size() == div_ceil(nblocks, 8),
              "encoder: flag array size mismatch");
   const KernelOps ops = ops_for(level);
   // 4096-block chunks start on a flag-byte boundary (4096 % 8 == 0), so
   // each chunk owns disjoint bit_flags bytes.
   parallel_chunks(nblocks, 4096, [&](size_t b, size_t e) {
-    ops.mark(words.data() + b * kBlockWords, e - b, byte_flags.data() + b,
-             bit_flags.data() + b / 8);
+    ops.mark(words.data() + b * kBlockWords, e - b, bit_flags.data() + b / 8);
   });
 }
 

@@ -73,9 +73,11 @@ void bitshuffle_tiles_simd(std::span<const u32> in, std::span<u32> out,
 void bitunshuffle_tiles_simd(std::span<const u32> in, std::span<u32> out,
                              SimdLevel level);
 
-/// Vectorized zero-block marking (bit-identical to mark_blocks).
-void mark_blocks_simd(std::span<const u32> words, std::span<u8> byte_flags,
-                      std::span<u8> bit_flags, SimdLevel level);
+/// Vectorized zero-block marking: the packed bit flags only, bit-identical
+/// to mark_blocks' (the host reads no byte flags; encode and the fused
+/// decode work from the bit flags).
+void mark_blocks_simd(std::span<const u32> words, std::span<u8> bit_flags,
+                      SimdLevel level);
 
 /// One 32-word unit bit transpose: out[j * out_stride] = plane j (bit j of
 /// each input word, word i at bit i).  Exposed for the equivalence tests;
@@ -97,7 +99,7 @@ TransposeUnitFn transpose_unit_fn(SimdLevel level);
 // values its Lorenzo stencil reaches across the strip boundary (one value
 // in 1-D, one row in 2-D, one plane in 3-D) and then predict independently
 // of every other strip.  Strips are aligned to whole 2048-code tiles, so
-// each worker owns a disjoint region of `shuffled`/`byte_flags`/`bit_flags`
+// each worker owns a disjoint region of `shuffled`/`bit_flags`
 // and the assembled stream is byte-identical to the unfused stage graph for
 // every strip count, dtype and SIMD tier (pinned by
 // tests/test_fused_parallel.cpp).
@@ -128,7 +130,7 @@ FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
 /// The fused stage kernel: quantize + Lorenzo + encode + bitshuffle + mark
 /// in one tile-parallel pass over `data`.  Outputs exactly what
 /// DualQuantStage + BitshuffleMarkStage produce — `shuffled` (total_words
-/// u32), `byte_flags` (one per 16-byte block) and `bit_flags` (packed) —
+/// u32) and `bit_flags` (one bit per 16-byte block, packed) —
 /// byte-for-byte for every plan, without ever materializing the i64[count]
 /// pre-quant array.  V2 quantization only.  Pre-quantizes through the
 /// dtype's row (see the top of this file).  `scratch` must hold
@@ -138,13 +140,12 @@ FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
 /// consumed bytes) on its worker thread.
 FusedTileResult fused_quant_shuffle_mark_parallel(
     FloatSpan data, Dims dims, double abs_eb, std::span<u32> shuffled,
-    std::span<u8> byte_flags, std::span<u8> bit_flags,
-    std::span<i64> scratch, const FusedParallelPlan& plan, SimdLevel level,
+    std::span<u8> bit_flags, std::span<i64> scratch,
+    const FusedParallelPlan& plan, SimdLevel level,
     telemetry::Sink* sink = nullptr);
 FusedTileResult fused_quant_shuffle_mark_parallel(
     std::span<const f64> data, Dims dims, double abs_eb,
-    std::span<u32> shuffled, std::span<u8> byte_flags,
-    std::span<u8> bit_flags, std::span<i64> scratch,
+    std::span<u32> shuffled, std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level,
     telemetry::Sink* sink = nullptr);
 

@@ -83,8 +83,10 @@ size_t scan_chunk_split(size_t lines, size_t workers, size_t min_per) {
 // parallel, (2) one cheap serial pass globalizes each chunk's final
 // line by adding the previous chunk's (already global) final line, and
 // (3) a second parallel pass adds that boundary offset to every interior
-// line.  Integer adds are associative, so the result is identical to the
-// serial scan for every chunk count — decompression stays byte-exact.
+// line.  Integer adds modulo 2^64 are associative, so the result is
+// identical to the serial scan for every chunk count — decompression stays
+// byte-exact.  Every inverse scan adds with wrapping_add: a corrupt
+// stream's anchor can carry the sums past the i64 range.
 
 /// Chunked inclusive prefix sum over one 1-D array.
 void scan_x_chunked_1d(std::span<i64> a, size_t nchunks) {
@@ -95,17 +97,19 @@ void scan_x_chunked_1d(std::span<i64> a, size_t nchunks) {
     const size_t b = c * per;
     const size_t e = std::min(n, b + per);
     i64* p = a.data();
-    for (size_t i = b + 1; i < e; ++i) p[i] += p[i - 1];
+    for (size_t i = b + 1; i < e; ++i) p[i] = wrapping_add(p[i], p[i - 1]);
   });
-  for (size_t c = 1; c < nchunks; ++c)
-    a[std::min(n, c * per + per) - 1] += a[c * per - 1];
+  for (size_t c = 1; c < nchunks; ++c) {
+    i64& last = a[std::min(n, c * per + per) - 1];
+    last = wrapping_add(last, a[c * per - 1]);
+  }
   parallel_tasks(nchunks - 1, nchunks - 1, [&](size_t t, size_t) {
     const size_t c = t + 1;
     const size_t b = c * per;
     const size_t e = std::min(n, b + per);
     const i64 carry = a[b - 1];
     i64* p = a.data();
-    for (size_t i = b; i + 1 < e; ++i) p[i] += carry;
+    for (size_t i = b; i + 1 < e; ++i) p[i] = wrapping_add(p[i], carry);
   });
 }
 
@@ -118,12 +122,13 @@ void scan_y_chunked_plane(i64* plane, size_t nx, size_t ny, size_t nchunks) {
     const size_t ye = std::min(ny, yb + per);
     for (size_t y = yb + 1; y < ye; ++y)
       for (size_t x = 0; x < nx; ++x)
-        plane[x + nx * y] += plane[x + nx * (y - 1)];
+        plane[x + nx * y] =
+            wrapping_add(plane[x + nx * y], plane[x + nx * (y - 1)]);
   });
   for (size_t c = 1; c < nchunks; ++c) {
     i64* last = plane + (std::min(ny, c * per + per) - 1) * nx;
     const i64* prev = plane + (c * per - 1) * nx;
-    for (size_t x = 0; x < nx; ++x) last[x] += prev[x];
+    for (size_t x = 0; x < nx; ++x) last[x] = wrapping_add(last[x], prev[x]);
   }
   parallel_tasks(nchunks - 1, nchunks - 1, [&](size_t t, size_t) {
     const size_t c = t + 1;
@@ -131,7 +136,8 @@ void scan_y_chunked_plane(i64* plane, size_t nx, size_t ny, size_t nchunks) {
     const size_t ye = std::min(ny, yb + per);
     const i64* carry = plane + (yb - 1) * nx;
     for (size_t y = yb; y + 1 < ye; ++y)
-      for (size_t x = 0; x < nx; ++x) plane[x + nx * y] += carry[x];
+      for (size_t x = 0; x < nx; ++x)
+        plane[x + nx * y] = wrapping_add(plane[x + nx * y], carry[x]);
   });
 }
 
@@ -150,7 +156,8 @@ void scan_x(std::span<i64> a, Dims dims, size_t workers) {
   parallel_chunks(lines, line_grain(dims.x), [&](size_t b, size_t e) {
     for (size_t line = b; line < e; ++line) {
       i64* row = a.data() + line * dims.x;
-      for (size_t x = 1; x < dims.x; ++x) row[x] += row[x - 1];
+      for (size_t x = 1; x < dims.x; ++x)
+        row[x] = wrapping_add(row[x], row[x - 1]);
     }
   });
 }
@@ -170,7 +177,8 @@ void scan_y(std::span<i64> a, Dims dims, size_t workers) {
       i64* plane = a.data() + z * dims.x * dims.y;
       for (size_t y = 1; y < dims.y; ++y)
         for (size_t x = 0; x < dims.x; ++x)
-          plane[x + dims.x * y] += plane[x + dims.x * (y - 1)];
+          plane[x + dims.x * y] =
+              wrapping_add(plane[x + dims.x * y], plane[x + dims.x * (y - 1)]);
     }
   });
 }
@@ -189,12 +197,12 @@ void scan_z_chunked(std::span<i64> a, size_t nx, size_t ny, size_t nz,
     const size_t ze = std::min(nz, zb + per);
     for (size_t z = zb + 1; z < ze; ++z)
       for (size_t i = 0; i < plane; ++i)
-        a[i + plane * z] += a[i + plane * (z - 1)];
+        a[i + plane * z] = wrapping_add(a[i + plane * z], a[i + plane * (z - 1)]);
   });
   for (size_t c = 1; c < nchunks; ++c) {
     i64* last = a.data() + (std::min(nz, c * per + per) - 1) * plane;
     const i64* prev = a.data() + (c * per - 1) * plane;
-    for (size_t i = 0; i < plane; ++i) last[i] += prev[i];
+    for (size_t i = 0; i < plane; ++i) last[i] = wrapping_add(last[i], prev[i]);
   }
   parallel_tasks(nchunks - 1, nchunks - 1, [&](size_t t, size_t) {
     const size_t c = t + 1;
@@ -202,7 +210,8 @@ void scan_z_chunked(std::span<i64> a, size_t nx, size_t ny, size_t nz,
     const size_t ze = std::min(nz, zb + per);
     const i64* carry = a.data() + (zb - 1) * plane;
     for (size_t z = zb; z + 1 < ze; ++z)
-      for (size_t i = 0; i < plane; ++i) a[i + plane * z] += carry[i];
+      for (size_t i = 0; i < plane; ++i)
+        a[i + plane * z] = wrapping_add(a[i + plane * z], carry[i]);
   });
 }
 
@@ -221,8 +230,10 @@ void scan_z(std::span<i64> a, Dims dims, size_t workers) {
   parallel_chunks(dims.y, line_grain(dims.x * dims.z), [&](size_t yb, size_t ye) {
     for (size_t y = yb; y < ye; ++y)
       for (size_t z = 1; z < dims.z; ++z)
-        for (size_t x = 0; x < dims.x; ++x)
-          a[x + dims.x * y + plane * z] += a[x + dims.x * y + plane * (z - 1)];
+        for (size_t x = 0; x < dims.x; ++x) {
+          i64& v = a[x + dims.x * y + plane * z];
+          v = wrapping_add(v, a[x + dims.x * y + plane * (z - 1)]);
+        }
   });
 }
 

@@ -86,10 +86,9 @@ StreamInfo inspect(ByteSpan stream) {
   if (is_container(stream)) return inspect_container(stream);
   ByteReader r(stream);
   const StreamHeader h = r.get<StreamHeader>();
-  // Full validation (version, rank, dtype, quant, eb, dims-vs-count,
-  // section sizes vs. stream length), not just the magic: inspect is the
-  // front door for untrusted streams, so a truncated or corrupt header must
-  // be rejected here rather than surface as a huge bogus count.
+  // Every header-level rule decode applies, not just the magic: inspect is
+  // the front door for untrusted streams, so a truncated or corrupt header
+  // must be rejected here rather than surface as a bogus layout.
   validate_stream_header(h, stream.size());
   StreamInfo info;
   info.dims = Dims{h.nx, h.ny, h.nz};
@@ -105,7 +104,7 @@ StreamInfo inspect(ByteSpan stream) {
   info.block_bytes = h.block_words * sizeof(u32);
   info.outlier_bytes = static_cast<QuantVersion>(h.quant) ==
                                QuantVersion::V1Original
-                           ? h.outlier_count * (sizeof(u32) + sizeof(i32))
+                           ? h.outlier_count * kOutlierBytes
                            : 0;
   info.stream_bytes = stream.size();
   info.total_blocks = round_up(h.count, kCodesPerTile) * sizeof(u16) /

@@ -73,7 +73,6 @@ void PipelineContext::release_scratch() {
   pq.release();
   codes.release();
   shuffled.release();
-  byte_flags.release();
   bit_flags.release();
   flags32.release();
   offsets.release();
@@ -97,9 +96,6 @@ void run_stages(const StageGraph& graph, PipelineContext& ctx) {
 }
 
 namespace {
-
-/// One V1 outlier on the stream: u32 index, i32 pre-quantized value.
-constexpr size_t kOutlierBytes = sizeof(u32) + sizeof(i32);
 
 // ---- compression stages -----------------------------------------------------
 
@@ -190,11 +186,9 @@ class BitshuffleMarkStage final : public Stage {
     ctx.shuffled = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
     bitshuffle_tiles_simd(ctx.codes.as<u32>(), ctx.shuffled.as<u32>(), level);
 
-    ctx.byte_flags = ctx.pool->acquire(ctx.total_blocks(), false);
     ctx.bit_flags =
         ctx.pool->acquire(div_ceil(ctx.total_blocks(), 8), false);
-    mark_blocks_simd(ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-                     ctx.bit_flags.as<u8>(), level);
+    mark_blocks_simd(ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), level);
   }
 };
 
@@ -212,7 +206,6 @@ class FusedQuantShuffleMarkStage final : public Stage {
                "fused graph supports V2 quantization only");
     const SimdLevel level = resolve_simd(ctx.params.simd);
     ctx.shuffled = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
-    ctx.byte_flags = ctx.pool->acquire(ctx.total_blocks(), false);
     ctx.bit_flags = ctx.pool->acquire(div_ceil(ctx.total_blocks(), 8), false);
 
     // Strips slice one pooled scratch lease; every plan emits the same bytes.
@@ -224,14 +217,12 @@ class FusedQuantShuffleMarkStage final : public Stage {
         ctx.dtype == sizeof(f64)
             ? fused_quant_shuffle_mark_parallel(
                   source<f64>(ctx), ctx.dims, ctx.abs_eb,
-                  ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-                  ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan,
-                  level, ctx.sink)
+                  ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(),
+                  ctx.row_scratch.as<i64>(), plan, level, ctx.sink)
             : fused_quant_shuffle_mark_parallel(
                   source<f32>(ctx), ctx.dims, ctx.abs_eb,
-                  ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-                  ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan,
-                  level, ctx.sink);
+                  ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(),
+                  ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
     ctx.anchor = r.anchor;
     ctx.stats.saturated = r.saturated;
   }
@@ -326,7 +317,8 @@ class AssembleStage final : public Stage {
 
 // ---- decompression stages ---------------------------------------------------
 
-/// Validate the header and slice the stream into its sections.
+/// Validate the header (every section rule lives in validate_stream_header)
+/// and slice the stream into its sections.
 class ParseHeaderStage final : public Stage {
  public:
   const char* name() const override { return "parse-header"; }
@@ -345,17 +337,6 @@ class ParseHeaderStage final : public Stage {
     ctx.params.quant = static_cast<QuantVersion>(h.quant);
     ctx.abs_eb = h.abs_eb;
     ctx.log_transform = h.transform == kTransformLog;
-
-    const size_t total_words = ctx.total_words();
-    FZ_FORMAT_REQUIRE(
-        h.bit_flag_bytes == div_ceil(total_words / kBlockWords, 8),
-        "bit-flag section size mismatch");
-    FZ_FORMAT_REQUIRE(h.block_words <= total_words,
-                      "block payload exceeds field size");
-    // Outlier indices are distinct positions, so their count is bounded by
-    // the field size; this also keeps the section-size product from
-    // overflowing below.
-    FZ_FORMAT_REQUIRE(h.outlier_count <= h.count, "too many outliers");
     ctx.sec_bit_flags = r.get_bytes(h.bit_flag_bytes);
     ctx.sec_blocks = r.get_bytes(h.block_words * sizeof(u32));
     ctx.sec_outliers =
@@ -370,7 +351,7 @@ class ParseHeaderStage final : public Stage {
     ctx.stats.abs_eb = h.abs_eb;
     ctx.stats.saturated = h.saturated;
     ctx.stats.outliers = h.outlier_count;
-    ctx.stats.total_blocks = total_words / kBlockWords;
+    ctx.stats.total_blocks = ctx.total_blocks();
     ctx.stats.nonzero_blocks = h.block_words / kBlockWords;
   }
 };
@@ -431,7 +412,9 @@ class InverseQuantStage final : public Stage {
         pq[index] = load_le<i32>(rec + sizeof(u32));
       }
     }
-    pq[0] += ctx.header.anchor;  // restore the first value's residual
+    // Restore the first value's residual; modulo 2^64, as the scans below,
+    // since a corrupt anchor may sit at the edge of the i64 range.
+    pq[0] = wrapping_add(pq[0], ctx.header.anchor);
     lorenzo_inverse(pq, ctx.dims, pq, ctx.params.fused_workers);
   }
 };

@@ -83,7 +83,6 @@ struct PipelineContext {
   PooledBuffer pq;          ///< i64[count]: pre-quantized / residuals
   PooledBuffer codes;       ///< u16[padded_codes()]
   PooledBuffer shuffled;    ///< u32[total_words()]
-  PooledBuffer byte_flags;  ///< u8[total_blocks()]
   PooledBuffer bit_flags;   ///< u8[ceil(total_blocks()/8)]
   PooledBuffer flags32;     ///< u32[total_blocks()]: V1 decode scan input
   PooledBuffer offsets;     ///< u32[total_blocks()]: V1 decode scan output

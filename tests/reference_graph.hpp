@@ -42,7 +42,6 @@ std::vector<T> reference_decompress(ByteSpan stream, size_t count) {
 
 struct FusedOut {
   std::vector<u32> shuffled;
-  std::vector<u8> byte_flags;
   std::vector<u8> bit_flags;
   FusedTileResult res;
 };
@@ -62,11 +61,17 @@ FusedOut reference_fused(std::span<const T> data, Dims dims, double eb) {
       pq, std::span<u16>{reinterpret_cast<u16*>(words.data()), pq.size()});
   o.shuffled.resize(words.size());
   bitshuffle_tiles(words, o.shuffled);
-  o.byte_flags.resize(words.size() / kBlockWords);
-  o.bit_flags.resize(div_ceil(o.byte_flags.size(), 8));
-  mark_blocks(o.shuffled, std::span<u8>{o.byte_flags},
-              std::span<u8>{o.bit_flags});
+  std::vector<u8> byte_flags;
+  mark_blocks(o.shuffled, byte_flags, o.bit_flags);
   return o;
+}
+
+/// The scalar oracle's byte flags over `words`, one per 4-word block: the
+/// device models still write them, the host kernels only the bit flags.
+inline std::vector<u8> oracle_byte_flags(std::span<const u32> words) {
+  std::vector<u8> byte_flags, bit_flags;
+  mark_blocks(words, byte_flags, bit_flags);
+  return byte_flags;
 }
 
 /// The tile-parallel fused kernel at one worker on the scalar tier: the
@@ -74,12 +79,11 @@ FusedOut reference_fused(std::span<const T> data, Dims dims, double eb) {
 /// unfused scalar reference by tests/test_simd.cpp.
 inline FusedTileResult fused_one_worker(FloatSpan data, Dims dims,
                                         double abs_eb, std::span<u32> shuffled,
-                                        std::span<u8> byte_flags,
                                         std::span<u8> bit_flags) {
   const FusedParallelPlan plan = fused_parallel_plan(dims, 1);
   std::vector<i64> scratch(plan.scratch_elems);
   return fused_quant_shuffle_mark_parallel(data, dims, abs_eb, shuffled,
-                                           byte_flags, bit_flags, scratch, plan,
+                                           bit_flags, scratch, plan,
                                            SimdLevel::Scalar);
 }
 

@@ -150,7 +150,7 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   // global counter proves the whole decompress path (header parse, stage
   // graph, disabled telemetry hooks) performs literally zero heap
   // allocations once warm.  The OpenMP runtime reuses its worker pool; the
-  // no-OpenMP thread_crew fallback spawns std::threads per parallel region,
+  // no-OpenMP run_task_crew fallback spawns std::threads per parallel region,
   // so the strict assertion is OpenMP-only.
   EXPECT_GT(g_alloc_count.load(), 0u);  // the counter is actually wired in
   const size_t before = g_alloc_count.load();
@@ -215,15 +215,16 @@ TEST(Codec, SteadyStateHoldsForV1AndPointwiseAndF64) {
 
 TEST(Codec, CompressLeasesOnlyItsWorkingSet) {
   // Blocks compact straight into the stream, so after one warm compress
-  // the pool holds the fused pass's shuffled words and flags, its strip
+  // the pool holds the fused pass's shuffled words and bit flags, its strip
   // scratch and the encoder's tile bases; V1 holds its unfused arrays
-  // instead of the fused pass's scratch.  No scan or block-section lease.
+  // instead of the fused pass's scratch.  No scan, block-section or
+  // byte-flag lease.
   const Dims dims{96, 80, 4};
   const Field f = noisy_field(dims, 23);
   const size_t tiles = div_ceil(dims.count(), kCodesPerTile);
   const size_t nblocks = tiles * kBlocksPerTile;
-  const size_t encode_set = tiles * kTileBytes + nblocks + nblocks / 8 +
-                            tiles * sizeof(u64);
+  const size_t encode_set =
+      tiles * kTileBytes + nblocks / 8 + tiles * sizeof(u64);
   FzParams params;
   params.eb = ErrorBound::relative(1e-3);
   params.fused_workers = 3;

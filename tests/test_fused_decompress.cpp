@@ -240,28 +240,40 @@ TEST(FusedDecompress, HostileFlagsAndTruncationsFailBeforeAnyStripReads) {
 }
 
 TEST(FusedDecompress, ExtremeAnchorWrapsIdenticallyAcrossWorkers) {
-  // A corrupt anchor at the edge of the i64 range carries the strip sums
+  // A corrupt anchor at the edge of the i64 range carries the prefix sums
   // past it.  They wrap modulo 2^64 (signed overflow would abort the
-  // asan-ubsan build), and the strip carries still make every worker
-  // count restore the same values.
-  const Dims dims{48, 40, 24};
-  const std::vector<f32> data = field<f32>(dims, 59);
-  Codec compressor;
-  FzCompressed c = compressor.compress(std::span<const f32>{data}, dims);
+  // asan-ubsan build) on both graphs — the fused strips and their carries
+  // (V2) and the classic inverse-Lorenzo scans (V1), including each
+  // chunked scan: {70000} on x, {64, 96} on y, {512, 1, 96} on z — so
+  // every worker count restores the same values.
   const i64 anchor = INT64_MAX - 3;
-  std::memcpy(c.bytes.data() + offsetof(StreamHeader, anchor), &anchor,
-              sizeof(anchor));
+  for (const QuantVersion quant :
+       {QuantVersion::V2Optimized, QuantVersion::V1Original}) {
+    for (const Dims dims :
+         {Dims{48, 40, 24}, Dims{70000}, Dims{64, 96}, Dims{512, 1, 96}}) {
+      const std::string where =
+          (quant == QuantVersion::V1Original ? "v1 " : "v2 ") +
+          dims.to_string();
+      const std::vector<f32> data = field<f32>(dims, 59);
+      FzParams cp;
+      cp.quant = quant;
+      FzCompressed c = Codec(cp).compress(std::span<const f32>{data}, dims);
+      std::memcpy(c.bytes.data() + offsetof(StreamHeader, anchor), &anchor,
+                  sizeof(anchor));
 
-  std::vector<f32> want(data.size());
-  FzParams one;
-  one.fused_workers = 1;
-  ASSERT_TRUE(Codec(one).try_decompress_into(c.bytes, want).ok());
-  for (size_t workers : {size_t{2}, size_t{3}, size_t{8}}) {
-    FzParams dp;
-    dp.fused_workers = workers;
-    std::vector<f32> got(data.size());
-    ASSERT_TRUE(Codec(dp).try_decompress_into(c.bytes, got).ok());
-    expect_bits_equal<f32>(got, want, "workers " + std::to_string(workers));
+      std::vector<f32> want(data.size());
+      FzParams one;
+      one.fused_workers = 1;
+      ASSERT_TRUE(Codec(one).try_decompress_into(c.bytes, want).ok()) << where;
+      for (size_t workers : {size_t{2}, size_t{3}, size_t{8}}) {
+        FzParams dp;
+        dp.fused_workers = workers;
+        std::vector<f32> got(data.size());
+        ASSERT_TRUE(Codec(dp).try_decompress_into(c.bytes, got).ok()) << where;
+        expect_bits_equal<f32>(got, want,
+                               where + " workers " + std::to_string(workers));
+      }
+    }
   }
 }
 
@@ -456,9 +468,9 @@ TEST(SimFusedQuant, SplitPlaneHaloKeepsCooperativeStagingWithinBudget) {
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
   const size_t blocks = words / kBlockWords;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  const FusedTileResult host = fused_one_worker(
-      f.values(), f.dims, abs_eb, host_shuffled, host_byte, host_bit);
+  std::vector<u8> host_bit(blocks / 8);
+  const FusedTileResult host = fused_one_worker(f.values(), f.dims, abs_eb,
+                                                host_shuffled, host_bit);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
@@ -466,7 +478,7 @@ TEST(SimFusedQuant, SplitPlaneHaloKeepsCooperativeStagingWithinBudget) {
       f.values(), f.dims, abs_eb, sim_shuffled, sim_byte, sim_bit, anchor);
   EXPECT_EQ(cost.name, "fused-quant-shuffle-mark-strips");
   EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(sim_byte, host_byte);
+  EXPECT_EQ(sim_byte, oracle_byte_flags(host_shuffled));
   EXPECT_EQ(sim_bit, host_bit);
   EXPECT_EQ(anchor[0], host.anchor);
 }
@@ -485,9 +497,9 @@ TEST(SimFusedQuant, FallsBackOnlyWhenSplitWindowsBlowTheBudgetToo) {
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
   const size_t blocks = words / kBlockWords;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  const FusedTileResult host = fused_one_worker(
-      f.values(), f.dims, 0.01, host_shuffled, host_byte, host_bit);
+  std::vector<u8> host_bit(blocks / 8);
+  const FusedTileResult host =
+      fused_one_worker(f.values(), f.dims, 0.01, host_shuffled, host_bit);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
@@ -495,7 +507,7 @@ TEST(SimFusedQuant, FallsBackOnlyWhenSplitWindowsBlowTheBudgetToo) {
       f.values(), f.dims, 0.01, sim_shuffled, sim_byte, sim_bit, anchor);
   EXPECT_EQ(cost.name, "fused-quant-shuffle-mark");
   EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(sim_byte, host_byte);
+  EXPECT_EQ(sim_byte, oracle_byte_flags(host_shuffled));
   EXPECT_EQ(anchor[0], host.anchor);
 }
 

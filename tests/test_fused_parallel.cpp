@@ -65,13 +65,12 @@ FusedOut run_parallel(std::span<const T> data, Dims dims, double eb,
   const size_t words = round_up(data.size(), kCodesPerTile) / 2;
   FusedOut o;
   o.shuffled.assign(words, 0xdeadbeefu);
-  o.byte_flags.assign(words / kBlockWords, 0xcd);
-  o.bit_flags.assign(div_ceil(o.byte_flags.size(), 8), 0xcd);
+  o.bit_flags.assign(div_ceil(words / kBlockWords, 8), 0xcd);
   const FusedParallelPlan plan = fused_parallel_plan(dims, workers);
   std::vector<i64> scratch(plan.scratch_elems, -1);
   o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, o.shuffled,
-                                            o.byte_flags, o.bit_flags, scratch,
-                                            plan, level, sink);
+                                            o.bit_flags, scratch, plan, level,
+                                            sink);
   return o;
 }
 
@@ -89,7 +88,6 @@ void check_schedule_independent(Dims dims, double eb, u64 seed) {
                                 std::to_string(dims.z) + " workers " +
                                 std::to_string(workers);
       ASSERT_EQ(want.shuffled, got.shuffled) << where;
-      ASSERT_EQ(want.byte_flags, got.byte_flags) << where;
       ASSERT_EQ(want.bit_flags, got.bit_flags) << where;
       EXPECT_EQ(want.res.anchor, got.res.anchor) << where;
       EXPECT_EQ(want.res.saturated, got.res.saturated) << where;

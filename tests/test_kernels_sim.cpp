@@ -201,16 +201,16 @@ TEST(SimFusedQuant, MatchesHostFusedStageExactly) {
     const size_t words = round_up(f.count(), kCodesPerTile) / 2;
     const size_t blocks = words / kBlockWords;
     std::vector<u32> host_shuffled(words), sim_shuffled(words);
-    std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-    const FusedTileResult host = fused_one_worker(
-        f.values(), dims, abs_eb, host_shuffled, host_byte, host_bit);
+    std::vector<u8> host_bit(blocks / 8);
+    const FusedTileResult host =
+        fused_one_worker(f.values(), dims, abs_eb, host_shuffled, host_bit);
 
     std::vector<u8> sim_byte, sim_bit;
     std::vector<i64> anchor(1, -1);
     const auto cost = sim_fused_quant_shuffle_mark(
         f.values(), dims, abs_eb, sim_shuffled, sim_byte, sim_bit, anchor);
     EXPECT_EQ(sim_shuffled, host_shuffled) << dims.to_string();
-    EXPECT_EQ(sim_byte, host_byte) << dims.to_string();
+    EXPECT_EQ(sim_byte, oracle_byte_flags(host_shuffled)) << dims.to_string();
     EXPECT_EQ(sim_bit, host_bit) << dims.to_string();
     EXPECT_EQ(anchor[0], host.anchor) << dims.to_string();
 
@@ -235,9 +235,9 @@ TEST(SimFusedQuant, ClipsSaturatedResidualsLikeTheHost) {
 
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(words / kBlockWords), host_bit(host_byte.size() / 8);
-  const FusedTileResult host = fused_one_worker(
-      f.values(), f.dims, abs_eb, host_shuffled, host_byte, host_bit);
+  std::vector<u8> host_bit(words / kBlockWords / 8);
+  const FusedTileResult host =
+      fused_one_worker(f.values(), f.dims, abs_eb, host_shuffled, host_bit);
   ASSERT_GT(host.saturated, 0u);  // the test is vacuous otherwise
 
   std::vector<u8> sim_byte, sim_bit;
@@ -266,16 +266,16 @@ TEST(SimFusedQuant, StripsKernelMatchesHostAndSinglePassExactly) {
     const size_t words = round_up(f.count(), kCodesPerTile) / 2;
     const size_t blocks = words / kBlockWords;
     std::vector<u32> host_shuffled(words), sim_shuffled(words);
-    std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-    const FusedTileResult host = fused_one_worker(
-        f.values(), dims, abs_eb, host_shuffled, host_byte, host_bit);
+    std::vector<u8> host_bit(blocks / 8);
+    const FusedTileResult host =
+        fused_one_worker(f.values(), dims, abs_eb, host_shuffled, host_bit);
 
     std::vector<u8> sim_byte, sim_bit;
     std::vector<i64> anchor(1, -1);
     const auto cost = sim_fused_quant_shuffle_mark_strips(
         f.values(), dims, abs_eb, sim_shuffled, sim_byte, sim_bit, anchor);
     EXPECT_EQ(sim_shuffled, host_shuffled) << dims.to_string();
-    EXPECT_EQ(sim_byte, host_byte) << dims.to_string();
+    EXPECT_EQ(sim_byte, oracle_byte_flags(host_shuffled)) << dims.to_string();
     EXPECT_EQ(sim_bit, host_bit) << dims.to_string();
     EXPECT_EQ(anchor[0], host.anchor) << dims.to_string();
     EXPECT_EQ(cost.kernel_launches, 1u);
@@ -320,16 +320,16 @@ TEST(SimFusedQuant, StripsKernelSplitsPlaneHaloWhenItExceedsBudget) {
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
   const size_t blocks = words / kBlockWords;
   std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  const FusedTileResult host = fused_one_worker(
-      f.values(), f.dims, 0.01, host_shuffled, host_byte, host_bit);
+  std::vector<u8> host_bit(blocks / 8);
+  const FusedTileResult host =
+      fused_one_worker(f.values(), f.dims, 0.01, host_shuffled, host_bit);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
   sim_fused_quant_shuffle_mark_strips(f.values(), f.dims, 0.01, sim_shuffled,
                                       sim_byte, sim_bit, anchor);
   EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(sim_byte, host_byte);
+  EXPECT_EQ(sim_byte, oracle_byte_flags(host_shuffled));
   EXPECT_EQ(anchor[0], host.anchor);
 }
 

@@ -2,14 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.hpp"
 #include "core/chunked.hpp"
 #include "core/codec.hpp"
+#include "core/format.hpp"
 #include "core/pipeline.hpp"
 #include "datasets/generators.hpp"
 #include "metrics/metrics.hpp"
+#include "reader/reader.hpp"
 
 namespace fz {
 namespace {
@@ -430,6 +434,28 @@ TEST(PipelineFormat, InspectValidatesNotJustTheMagic) {
             StatusCode::InvalidStream);
   EXPECT_TRUE(try_inspect(c.bytes, si).ok());
   EXPECT_EQ(si.count, f.count());
+
+  // Section sizes decode rejects: a block section whose byte size wraps to
+  // 0, a 1 TiB flag section, more outliers than values.  inspect applies
+  // every header rule decode does, so none reports a bogus layout, and a
+  // Reader (which inspects before it starts a thread) throws at once.
+  auto patch_u64 = [&](size_t offset, u64 value) {
+    std::vector<u8> s = c.bytes;
+    std::memcpy(s.data() + offset, &value, sizeof(value));
+    return s;
+  };
+  const std::vector<u8> bad_sections[] = {
+      patch_u64(offsetof(StreamHeader, block_words), u64{1} << 62),
+      patch_u64(offsetof(StreamHeader, bit_flag_bytes), u64{1} << 40),
+      patch_u64(offsetof(StreamHeader, outlier_count), u64{1} << 61)};
+  for (const std::vector<u8>& bad : bad_sections) {
+    EXPECT_THROW(inspect(bad), FormatError);
+    EXPECT_EQ(try_inspect(bad, si).code(), StatusCode::InvalidStream);
+    EXPECT_EQ(Codec().try_decompress_into(bad, std::span<f32>{out}).code(),
+              StatusCode::InvalidStream);
+  }
+  EXPECT_THROW(Reader(bad_sections[0], ReaderOptions{.workers = 1}),
+               FormatError);
 }
 
 TEST(PipelineFormat, RejectsEmptyInput) {

@@ -293,10 +293,8 @@ TEST(SimdMark, MatchesScalarReferenceWithTails) {
     std::vector<u8> want_byte(nblocks), want_bit(div_ceil(nblocks, 8));
     mark_blocks(words, std::span<u8>{want_byte}, std::span<u8>{want_bit});
     for (const SimdLevel level : levels_under_test()) {
-      std::vector<u8> got_byte(nblocks, 0xee), got_bit(div_ceil(nblocks, 8), 0xee);
-      mark_blocks_simd(words, got_byte, got_bit, level);
-      ASSERT_EQ(want_byte, got_byte) << simd_level_name(level)
-                                     << " nblocks=" << nblocks;
+      std::vector<u8> got_bit(div_ceil(nblocks, 8), 0xee);
+      mark_blocks_simd(words, got_bit, level);
       ASSERT_EQ(want_bit, got_bit) << simd_level_name(level)
                                    << " nblocks=" << nblocks;
     }
@@ -318,18 +316,16 @@ void check_fused(Dims dims, double eb, u64 seed, SimdLevel level,
   const FusedOut want = reference_fused(std::span<const T>{data}, dims, eb);
 
   std::vector<u32> shuffled(want.shuffled.size(), 0xdeadbeefu);
-  std::vector<u8> byte_flags(want.byte_flags.size(), 0xee);
   std::vector<u8> bit_flags(want.bit_flags.size(), 0xee);
   const FusedParallelPlan plan = fused_parallel_plan(dims, 1);
   std::vector<i64> scratch(plan.scratch_elems, -1);
   const FusedTileResult got = fused_quant_shuffle_mark_parallel(
-      std::span<const T>{data}, dims, eb, shuffled, byte_flags, bit_flags,
-      scratch, plan, level);
+      std::span<const T>{data}, dims, eb, shuffled, bit_flags, scratch, plan,
+      level);
 
   ASSERT_EQ(want.shuffled, shuffled)
       << simd_level_name(level) << " dims " << dims.x << "x" << dims.y << "x"
       << dims.z;
-  ASSERT_EQ(want.byte_flags, byte_flags) << simd_level_name(level);
   ASSERT_EQ(want.bit_flags, bit_flags) << simd_level_name(level);
   EXPECT_EQ(want.res.anchor, got.anchor) << simd_level_name(level);
   EXPECT_EQ(want.res.saturated, got.saturated) << simd_level_name(level);
