@@ -11,10 +11,6 @@
 #include <cstdio>
 #include <vector>
 
-#if defined(FZ_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "baselines/szomp.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
@@ -28,7 +24,7 @@ int main() {
 
   const auto fields = evaluation_fields(0.12);
   const Field& f = fields[2];  // Hurricane
-  const int hw_threads = max_threads();
+  const int hw_threads = static_cast<int>(max_threads());
 
   std::printf("FZ-OMP thread scaling, field %s %s (%.1f MB), rel eb 1e-3\n",
               f.dataset.c_str(), f.dims.to_string().c_str(),
@@ -39,9 +35,7 @@ int main() {
 
   double base = 0;
   for (int threads = 1; threads <= hw_threads; threads *= 2) {
-#if defined(FZ_HAVE_OPENMP)
-    omp_set_num_threads(threads);
-#endif
+    set_max_threads(static_cast<size_t>(threads));
     const RunResult r = run_fz_omp(f, 1e-3, 2);
     const double comp =
         static_cast<double>(f.bytes()) / 1e9 / r.native_compress_seconds;
@@ -51,9 +45,7 @@ int main() {
     std::printf("%8d %14.3f %14.3f %8.2fx\n", threads, comp, decomp,
                 comp / base);
   }
-#if defined(FZ_HAVE_OPENMP)
-  omp_set_num_threads(hw_threads);  // restore
-#endif
+  set_max_threads(0);  // restore
   std::printf(
       "\nExpected shape (paper, 32-core Xeon): near-linear scaling up to\n"
       "the physical core count, then flat (\"does not increase much with\n"
@@ -61,14 +53,13 @@ int main() {
       "On a single-core machine this prints one row.\n");
 
   // ---- chunked container: parallel chunk workers ---------------------------
-  // Inner loops single-threaded (1 OpenMP thread) so the sweep isolates the
-  // chunk-level parallelism of parallel_tasks + per-worker codecs.
-#if defined(FZ_HAVE_OPENMP)
-  omp_set_num_threads(1);
-#endif
-  // Sweep to at least 4 workers even on small machines: extra rows there
-  // just show oversubscription staying flat, which still exercises the
-  // multi-worker path.
+  // Each row's budget is its worker count, so the chunk workers of
+  // parallel_tasks run at once and their inner loops (budget 1 inside a
+  // region) stay single-threaded: the sweep isolates the chunk-level
+  // parallelism of parallel_tasks + per-worker codecs.  Sweep to at least
+  // 4 workers even on small machines: the budget clamps to the CPU count
+  // there, so the extra rows stay flat but still exercise the multi-worker
+  // path.
   const int max_workers = hw_threads > 4 ? hw_threads : 4;
   ChunkedParams cparams;
   cparams.base.eb = ErrorBound::relative(1e-3);
@@ -81,6 +72,7 @@ int main() {
               "decompress GB/s", "scaling");
   double chunk_base = 0;
   for (int workers = 1; workers <= max_workers; workers *= 2) {
+    set_max_threads(static_cast<size_t>(workers));
     cparams.max_parallelism = static_cast<size_t>(workers);
     ChunkedCompressed c;
     const double comp_s = time_best_of(
@@ -96,9 +88,7 @@ int main() {
     std::printf("%8d %14.3f %14.3f %8.2fx\n", workers, comp, decomp,
                 comp / chunk_base);
   }
-#if defined(FZ_HAVE_OPENMP)
-  omp_set_num_threads(hw_threads);  // restore
-#endif
+  set_max_threads(0);  // restore
   std::printf(
       "\nExpected shape: scaling tracks the worker count until it reaches\n"
       "the physical cores; the container bytes are identical at every\n"

@@ -369,14 +369,27 @@ int main(int argc, char** argv) {
     std::vector<i64> reference(deltas.size());
     lorenzo_inverse(deltas, zdims, reference, /*workers=*/1);
     const size_t zbytes = deltas.size() * sizeof(i64);
+    // The worker counts take turns, one sweep each per round, so a spell
+    // of load from elsewhere lands on every row, not just the one being
+    // timed; each row keeps its best of `ziters` sweeps.
+    constexpr size_t kZWorkers[] = {1, 2, 4, 0};
+    std::vector<std::vector<i64>> outs(std::size(kZWorkers),
+                                       std::vector<i64>(deltas.size()));
+    std::vector<double> best(std::size(kZWorkers),
+                             std::numeric_limits<double>::infinity());
+    for (int round = 0; round < ziters; ++round) {
+      for (size_t k = 0; k < std::size(kZWorkers); ++k) {
+        best[k] = std::min(best[k], min_seconds(1, [&] {
+          lorenzo_inverse(deltas, zdims, outs[k], kZWorkers[k]);
+        }));
+      }
+    }
     bench::Table z_table({"workers", "GB/s"});
-    for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
-      std::vector<i64> out(deltas.size());
-      const double t = min_seconds(
-          ziters, [&] { lorenzo_inverse(deltas, zdims, out, workers); });
-      if (out != reference) zscan_identical = false;
-      zscan_gbps.push_back(gbps(zbytes, t));
-      z_table.add_row({std::to_string(workers == 0 ? hw_threads : workers),
+    for (size_t k = 0; k < std::size(kZWorkers); ++k) {
+      if (outs[k] != reference) zscan_identical = false;
+      zscan_gbps.push_back(gbps(zbytes, best[k]));
+      z_table.add_row({std::to_string(kZWorkers[k] == 0 ? hw_threads
+                                                        : kZWorkers[k]),
                        num(zscan_gbps.back())});
     }
     std::cout << "\n3-D z-carry inverse scan thread scaling ("

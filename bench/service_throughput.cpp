@@ -1,6 +1,7 @@
 // Service-harness regression bench: compress jobs streamed through the
 // long-lived fz::Service vs. the same work on a direct fz::Codec, the
-// multi-client scaling of the worker pool, client-observed job-latency
+// round trip of a Ping job (no codec work: the two queue hand-offs alone),
+// the multi-client scaling of the worker pool, client-observed job-latency
 // percentiles, and a queue-saturation segment.  Rows go to stdout, then
 // one line per within-run gate (bench/gates.hpp); the exit status is 1,
 // naming each failed gate, when any gate fails:
@@ -35,6 +36,15 @@ using namespace fz;
 using bench::gbps;
 using bench::min_seconds;
 
+/// Run fn(c) for every client c in [0, clients.worker_count()), one per
+/// pool worker, and wait for all of them.
+template <typename Fn>
+void run_clients(ThreadPool& clients, const Fn& fn) {
+  for (size_t c = 0; c < clients.worker_count(); ++c)
+    clients.submit([&fn, c](size_t) { fn(c); });
+  clients.wait_idle();
+}
+
 Request make_request(const Field& f) {
   Request req;
   req.kind = JobKind::Compress;
@@ -60,7 +70,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const size_t hw = static_cast<size_t>(max_threads());
+  const size_t hw = max_threads();
   const Field field = generate_field(
       Dataset::CESM, scaled_dims(Dataset::CESM, std::max(scale, 0.02)), 11);
   const Request req = make_request(field);
@@ -74,7 +84,6 @@ int main(int argc, char** argv) {
   // ---- baseline: the same jobs on a direct Codec ---------------------------
   FzParams params;
   params.eb = req.eb;
-  params.fused_workers = 1;  // match the service's per-worker codec config
   Codec direct(params);
   FzCompressed expect;
   if (!direct.try_compress(field.values(), field.dims, expect).ok()) {
@@ -87,9 +96,12 @@ int main(int argc, char** argv) {
       (void)direct.try_compress(field.values(), field.dims, out);
   });
   const double direct_gbps = gbps(round_bytes, direct_secs);
-  std::printf("%-30s %8.3f GB/s\n", "direct codec (1 thread)", direct_gbps);
+  std::printf("%-36s %8.3f GB/s\n", "direct codec", direct_gbps);
+  std::printf("%-36s %8.1f us\n", "direct codec per job",
+              direct_secs / jobs_per_round * 1e6);
 
   // ---- service, one worker / one client: pure harness overhead -------------
+  // The Ping round trip is that overhead with no codec work at all.
   bool byte_identical = true;
   double svc1_gbps = 0;
   {
@@ -97,6 +109,14 @@ int main(int argc, char** argv) {
     opt.workers = 1;
     Service svc(opt);
     Response resp;
+    Request ping;
+    ping.kind = JobKind::Ping;
+    (void)svc.submit(ping, resp);
+    const double ping_secs = min_seconds(iters, [&] {
+      for (size_t i = 0; i < jobs_per_round; ++i) (void)svc.submit(ping, resp);
+    });
+    std::printf("%-36s %8.1f us\n", "service ping round trip (1 worker)",
+                ping_secs / jobs_per_round * 1e6);
     (void)svc.submit(req, resp);  // warm the worker codec
     byte_identical &= resp.status.ok() && resp.payload == expect.bytes;
     const double secs = min_seconds(iters, [&] {
@@ -105,26 +125,27 @@ int main(int argc, char** argv) {
     byte_identical &= resp.payload == expect.bytes;
     svc1_gbps = gbps(round_bytes, secs);
   }
-  std::printf("%-30s %8.3f GB/s\n", "service (1 worker, 1 client)", svc1_gbps);
+  std::printf("%-36s %8.3f GB/s\n", "service (1 worker, 1 client)", svc1_gbps);
 
   // ---- service, all workers / matching clients: pool scaling ---------------
   double svcN_gbps = 0;
   std::vector<double> latencies_us;
   u64 dropped = 0, failed = 0;
   {
-    Service svc;  // default: one worker per hardware thread
+    Service svc;  // default: one worker per CPU
     const size_t clients = std::max<size_t>(hw, 2);
     const size_t per_client = 8;
     std::atomic<int> mismatches{0};
+    ThreadPool client_pool(clients);
     // Warm every worker codec before timing.
-    run_task_crew(clients, clients, [&](size_t, size_t) {
+    run_clients(client_pool, [&](size_t) {
       Response resp;
       (void)svc.submit(req, resp);
     });
     std::vector<std::vector<double>> lat(clients);
     const double secs = min_seconds(iters, [&] {
       for (auto& v : lat) v.clear();
-      run_task_crew(clients, clients, [&](size_t c, size_t) {
+      run_clients(client_pool, [&](size_t c) {
         Response resp;
         for (size_t i = 0; i < per_client; ++i) {
           const auto t0 = std::chrono::steady_clock::now();
@@ -144,7 +165,7 @@ int main(int argc, char** argv) {
     dropped = c.dropped_exceptions;
     failed = c.failed;
   }
-  std::printf("%-30s %8.3f GB/s\n", "service (all workers)", svcN_gbps);
+  std::printf("%-36s %8.3f GB/s\n", "service (all workers)", svcN_gbps);
 
   std::sort(latencies_us.begin(), latencies_us.end());
   const auto pct = [&](double q) {
@@ -154,7 +175,7 @@ int main(int argc, char** argv) {
     return latencies_us[i];
   };
   const double p50 = pct(0.50), p99 = pct(0.99);
-  std::printf("%-30s %8.0f / %.0f us\n", "job latency p50 / p99", p50, p99);
+  std::printf("%-36s %8.0f / %.0f us\n", "job latency p50 / p99", p50, p99);
 
   // ---- saturation: a tiny queue must reject, not block or grow -------------
   u64 queue_full = 0;
@@ -164,17 +185,17 @@ int main(int argc, char** argv) {
     opt.queue_depth = 2;
     opt.batch_max = 1;
     Service svc(opt);
-    const size_t floods = 4 * std::max<size_t>(hw, 2);
-    run_task_crew(floods, floods, [&](size_t, size_t) {
+    ThreadPool floods(4 * std::max<size_t>(hw, 2));
+    run_clients(floods, [&](size_t) {
       Response resp;
       for (int i = 0; i < 8; ++i) (void)svc.submit(req, resp);
     });
     queue_full = svc.counters().rejected_queue_full;
   }
-  std::printf("%-30s %8llu rejects\n", "saturation backpressure",
+  std::printf("%-36s %8llu rejects\n", "saturation backpressure",
               static_cast<unsigned long long>(queue_full));
 
-  std::printf("%-30s %8.2fx\n", "pool scaling (all / 1 worker)",
+  std::printf("%-36s %8.2fx\n", "pool scaling (all / 1 worker)",
               svcN_gbps / std::max(svc1_gbps, 1e-12));
 
   std::cout << "\n";

@@ -1,5 +1,5 @@
 // CPU baselines measured with real wall-clock time (paper §4.4):
-//  * FZ-OMP — the FZ pipeline itself, which is OpenMP-parallel end to end,
+//  * FZ-OMP — the FZ pipeline itself, host-parallel end to end,
 //  * SZ-OMP — the SZ 2.x OpenMP mode: chunked Lorenzo + quantization +
 //    Huffman entropy coding (no dictionary stage, matching sz_omp.c).
 #pragma once

@@ -1,99 +1,79 @@
-// Parallel-loop helpers.  All parallel loops in the native backends go
-// through these wrappers: parallel_for, parallel_chunks and parallel_tasks
-// for loops, and parallel_range, the one reduction (min, max and
-// all-finite in a single pass, all that resolving an error bound needs
-// from the input).  With OpenMP they compile to omp regions; without it
-// (FZ_ENABLE_OPENMP=OFF) parallel_for/parallel_tasks fall back to the
-// std::thread task crew run_task_crew (common/thread_pool.hpp), which has
-// the same contract, and parallel_range runs serially.  The `tsan` preset
-// builds without OpenMP deliberately: libgomp is not TSan-instrumented, so
-// its fork/join happens-before edges are invisible and ThreadSanitizer
-// flags correct code; raw std::threads keep the concurrency both real and
-// visible to the tool.
+// Fork/join for every parallel loop in the native backends: parallel_for,
+// parallel_chunks, parallel_tasks and the one reduction, parallel_range.
+// All run on one process-wide crew (thread_pool.cpp): a helper per CPU in
+// the affinity mask beyond the caller, who is participant 0.  A region
+// takes min(its work items, the caller's budget) participants; the budget
+// (max_threads()) is every CPU on a plain thread, CPUs / workers (at least
+// 1) on a fz::ThreadPool worker, and 1 inside a region.  A nested region,
+// or one started while another thread holds the crew, runs on its caller.
+// Regions allocate nothing on the heap (the first creates the crew), and
+// the first exception any participant throws is rethrown on the caller
+// after the join — decoders rely on this to reject corrupt streams.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <exception>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <type_traits>
-#include <vector>
-
-#if defined(FZ_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
 namespace fz {
 
-inline int max_threads() {
-#if defined(FZ_HAVE_OPENMP)
-  return omp_get_max_threads();
-#else
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-#endif
+/// The calling thread's budget: the most participants a region started on
+/// it may take.  On a plain thread, the CPU count of the affinity mask.
+size_t max_threads();
+
+/// Set the calling thread's budget: 0 restores the default, and larger
+/// values clamp to it.  fz::ThreadPool sets it for each of its workers.
+void set_max_threads(size_t budget);
+
+namespace detail {
+
+using RegionBody = void (*)(void* ctx, size_t part, size_t parts) noexcept;
+
+/// Run body(ctx, part, parts) for every part, each at a budget of 1, where
+/// parts = min(max_parts, max_threads()) while the crew is free, else 1.
+/// max_parts <= 1 calls body(ctx, 0, 1) at the caller's budget.
+void fork_join(size_t max_parts, RegionBody body, void* ctx);
+
+/// fork_join over body(part, parts), rethrowing the first exception.
+template <typename Body>
+void run_region(size_t max_parts, Body&& body) {
+  struct Ctx { Body& body; std::atomic<bool> failed; std::exception_ptr error; };
+  Ctx ctx{body, {false}, nullptr};
+  fork_join(
+      max_parts,
+      [](void* p, size_t part, size_t parts) noexcept {
+        Ctx& c = *static_cast<Ctx*>(p);
+        try {
+          c.body(part, parts);
+        } catch (...) {
+          if (!c.failed.exchange(true)) c.error = std::current_exception();
+        }
+      },
+      &ctx);
+  if (ctx.error) std::rethrow_exception(ctx.error);
 }
 
-/// Index of the calling thread within the innermost parallel region
-/// (0 outside any region or without OpenMP).
-inline int thread_index() {
-#if defined(FZ_HAVE_OPENMP)
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
+}  // namespace detail
 
-/// Parallel for over [begin, end) with a static schedule.
-/// `fn(i)` must be independent across iterations.
-///
-/// Exceptions must not unwind out of an OpenMP region (that calls
-/// std::terminate), so the first exception thrown by any iteration is
-/// captured and rethrown on the calling thread after the region ends —
-/// decoders rely on this to reject corrupt streams from parallel loops.
-///
-/// Fewer than two iterations run on the calling thread with no team: the
-/// fork/join would do no parallel work, yet the join would still wait for
-/// every team thread to be scheduled.
+/// Parallel for over [begin, end) with a static schedule: participant p of
+/// P runs [n p / P, n (p + 1) / P) of the n iterations.  `fn(i)` must be
+/// independent across iterations.  One iteration runs on the calling thread.
 template <typename Fn>
 void parallel_for(size_t begin, size_t end, Fn&& fn) {
   if (end <= begin) return;
-  if (end - begin == 1) {
-    fn(begin);
-    return;
-  }
-#if defined(FZ_HAVE_OPENMP)
-  std::exception_ptr error;
-#pragma omp parallel for schedule(static) shared(error)
-  for (i64 i = static_cast<i64>(begin); i < static_cast<i64>(end); ++i) {
-    try {
-      fn(static_cast<size_t>(i));
-    } catch (...) {
-#pragma omp critical(fz_parallel_for_error)
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-#else
-  const size_t count = end - begin;
-  const size_t workers =
-      count < static_cast<size_t>(max_threads()) ? count
-                                                 : static_cast<size_t>(max_threads());
-  if (workers > 1) {
-    auto task = [&](size_t i, size_t) { fn(begin + i); };
-    run_task_crew(count, workers, task);
-  } else {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  }
-#endif
+  const size_t n = end - begin;
+  detail::run_region(n, [&](size_t part, size_t parts) {
+    const size_t hi = begin + n * (part + 1) / parts;
+    for (size_t i = begin + n * part / parts; i < hi; ++i) fn(i);
+  });
 }
 
 /// Parallel for over chunks: fn(chunk_begin, chunk_end).  Used when per-
@@ -102,55 +82,30 @@ void parallel_for(size_t begin, size_t end, Fn&& fn) {
 template <typename Fn>
 void parallel_chunks(size_t count, size_t chunk, Fn&& fn) {
   FZ_REQUIRE(chunk > 0, "parallel_chunks: chunk size must be nonzero");
-  const size_t nchunks = count == 0 ? 0 : (count + chunk - 1) / chunk;
-  parallel_for(0, nchunks, [&](size_t c) {
-    const size_t b = c * chunk;
-    const size_t e = b + chunk < count ? b + chunk : count;
-    fn(b, e);
+  parallel_for(0, (count + chunk - 1) / chunk, [&](size_t c) {
+    fn(c * chunk, std::min(count, c * chunk + chunk));
   });
 }
 
 /// Run fn(task, worker) for every task in [0, count) using at most `workers`
-/// concurrent threads (0 = max_threads()).  Each worker index in
-/// [0, workers) is used by exactly one thread at a time, so fn may use it to
-/// address per-worker state (e.g. one fz::Codec per worker).  Tasks are
-/// claimed dynamically: uneven task costs still balance.  Exceptions
-/// propagate like parallel_for.
+/// participants (0 = max_threads()).  Each worker index in [0, workers) is
+/// used by exactly one thread at a time, so fn may use it to address
+/// per-worker state (e.g. one fz::Codec per worker).  Tasks are claimed
+/// dynamically: uneven task costs still balance.  Exceptions propagate
+/// like parallel_for, and tasks not yet claimed are skipped.
 template <typename Fn>
 void parallel_tasks(size_t count, size_t workers, Fn&& fn) {
-  if (workers == 0) workers = static_cast<size_t>(max_threads());
-  if (workers > count) workers = count;
-#if defined(FZ_HAVE_OPENMP)
-  if (workers > 1) {
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-#pragma omp parallel num_threads(static_cast<int>(workers)) \
-    shared(next, failed, error)
-    {
-      const size_t w = static_cast<size_t>(omp_get_thread_num());
-      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        if (failed.load(std::memory_order_relaxed)) break;
-        try {
-          fn(i, w);
-        } catch (...) {
-#pragma omp critical(fz_parallel_tasks_error)
-          if (!error) error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
+  if (workers == 0) workers = max_threads();
+  std::atomic<size_t> next{0};
+  std::atomic<bool> stop{false};
+  detail::run_region(std::min(count, workers), [&](size_t part, size_t) {
+    try {
+      for (size_t i = next++; i < count && !stop; i = next++) fn(i, part);
+    } catch (...) {
+      stop = true;
+      throw;
     }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-#else
-  if (workers > 1) {
-    run_task_crew(count, workers, fn);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < count; ++i) fn(i, 0);
+  });
 }
 
 /// The min, max and all-finite flag of a span (parallel_range).
@@ -161,8 +116,9 @@ struct ValueRange {
   bool finite;  ///< no NaN/Inf anywhere; lo and hi are meaningful only then
 };
 
-/// Min, max and all-finite of a non-empty span in one OpenMP parallel+simd
-/// reduction, with no scratch allocation.  A value is non-finite exactly
+/// Min, max and all-finite of a non-empty span in one pass: one work item
+/// per 16 Ki values, each participant's block reduced by a simd loop and
+/// merged into the result under a lock.  A value is non-finite exactly
 /// when all its exponent bits are set, so the finite test is an integer
 /// compare+AND with no libm call, and the branchless select form of min and
 /// max vectorizes where `if (x < lo)` cannot.  On finite data min and max
@@ -176,22 +132,30 @@ ValueRange<T> parallel_range(std::span<const T> v) {
   constexpr U kExpMask = sizeof(T) == sizeof(u32)
                              ? static_cast<U>(0x7f800000u)
                              : static_cast<U>(0x7ff0000000000000ull);
+  constexpr size_t kGrain = size_t{1} << 14;
   FZ_REQUIRE(!v.empty(), "parallel_range: empty span");
-  const T* p = v.data();
-  T lo = p[0];
-  T hi = p[0];
-  int finite = 1;
-#if defined(FZ_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static) reduction(min : lo) \
-    reduction(max : hi) reduction(& : finite)
-#endif
-  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i) {
-    const T x = p[i];
-    lo = x < lo ? x : lo;
-    hi = x > hi ? x : hi;
-    finite &= static_cast<int>((std::bit_cast<U>(x) & kExpMask) != kExpMask);
-  }
-  return {lo, hi, finite != 0};
+  ValueRange<T> total{v[0], v[0], true};
+  std::mutex total_mu;
+  const size_t n = v.size();
+  detail::run_region((n + kGrain - 1) / kGrain, [&](size_t part, size_t parts) {
+    const T* p = v.data() + n * part / parts;
+    const i64 len = static_cast<i64>(n * (part + 1) / parts - n * part / parts);
+    T lo = p[0];
+    T hi = p[0];
+    int finite = 1;
+#pragma omp simd reduction(min : lo) reduction(max : hi) reduction(& : finite)
+    for (i64 i = 0; i < len; ++i) {
+      const T x = p[i];
+      lo = x < lo ? x : lo;
+      hi = x > hi ? x : hi;
+      finite &= static_cast<int>((std::bit_cast<U>(x) & kExpMask) != kExpMask);
+    }
+    const std::lock_guard<std::mutex> lock(total_mu);
+    total.lo = lo < total.lo ? lo : total.lo;
+    total.hi = hi > total.hi ? hi : total.hi;
+    total.finite = total.finite && finite != 0;
+  });
+  return total;
 }
 
 }  // namespace fz

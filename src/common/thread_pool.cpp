@@ -2,16 +2,130 @@
 // fzlint flags allocation and blocking inside its critical sections.
 #include "common/thread_pool.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <memory>
+#include <utility>
+
+#include "common/parallel.hpp"
+
 namespace fz {
 
-ThreadPool::ThreadPool(size_t workers) {
-  if (workers == 0) {
-    const unsigned n = std::thread::hardware_concurrency();
-    workers = n == 0 ? 1 : n;
+namespace {
+
+/// CPUs in the affinity mask, read once: a crew sized from every online CPU
+/// would spin all its helpers on one CPU under `taskset -c 0`.
+size_t affinity_cpus() {
+  static const size_t cpus = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)  // fails past 1024 CPUs
+      return static_cast<size_t>(CPU_COUNT(&set));
+    return size_t{std::max(1u, std::thread::hardware_concurrency())};
+  }();
+  return cpus;
+}
+
+thread_local size_t t_budget = 0;  ///< 0 = unset: every CPU
+std::atomic<size_t> pool_threads{0};  ///< live ThreadPool workers
+
+/// Wait until `word` no longer holds `old`; return its new value.  Spin about
+/// as long as libgomp's default GOMP_SPINCOUNT first: a small call runs
+/// regions back to back, and parking between them costs a futex wake each.
+/// While any ThreadPool worker lives, spin 100 pauses, as libgomp does once
+/// it runs more threads than CPUs: the spin would take a pool worker's CPU.
+u32 await_change(const std::atomic<u32>& word, u32 old) {
+  for (u32 spin = 0;; ++spin) {
+    const u32 v = word.load(std::memory_order_acquire);
+    if (v != old) return v;
+    if (spin >= (pool_threads.load(std::memory_order_relaxed) ? 100u : 300000u))
+      word.wait(old, std::memory_order_acquire);
+#if defined(__x86_64__) || defined(__i386__)
+    else __builtin_ia32_pause();
+#endif
   }
+}
+
+/// The fork/join crew.  A region's holder bumps `go` in each helper's own
+/// cache line, runs participant 0, then waits for `pending_` to reach 0.
+class Crew {
+ public:
+  explicit Crew(size_t helpers) : go_(std::make_unique<Slot[]>(helpers)) {
+    for (size_t h = 0; h < helpers; ++h)
+      threads_.emplace_back([this, h] { helper_loop(h); });
+  }
+
+  /// Run a region of 2 <= parts <= helpers + 1; false, running nothing,
+  /// while another thread holds the crew.
+  bool try_run(size_t parts, detail::RegionBody body, void* ctx) {
+    if (held_.exchange(true, std::memory_order_acquire)) return false;
+    region_ = {body, ctx, parts};
+    pending_.store(static_cast<u32>(parts - 1), std::memory_order_relaxed);
+    for (size_t h = 0; h + 1 < parts; ++h) {
+      go_[h].go.fetch_add(1);  // seq_cst: visible before notify looks
+      go_[h].go.notify_one();  // for a parked helper
+    }
+    body(ctx, 0, parts);
+    for (u32 left = pending_.load(std::memory_order_acquire); left != 0;)
+      left = await_change(pending_, left);
+    held_.store(false, std::memory_order_release);
+    return true;
+  }
+
+ private:
+  struct alignas(64) Slot { std::atomic<u32> go{0}; };
+
+  void helper_loop(size_t h) {
+    t_budget = 1;
+    for (u32 seen = 0;;) {
+      seen = await_change(go_[h].go, seen);
+      region_.body(region_.ctx, h + 1, region_.parts);
+      if (pending_.fetch_sub(1) == 1) pending_.notify_one();
+    }
+  }
+
+  std::unique_ptr<Slot[]> go_;
+  std::atomic<bool> held_{false};
+  // The region being run, written by its holder before it bumps any `go`.
+  struct Region { detail::RegionBody body; void* ctx; size_t parts; } region_{};
+  alignas(64) std::atomic<u32> pending_{0};  ///< helpers still running
+  std::vector<std::thread> threads_;
+};
+
+/// Created by the first region that wants helpers and never destroyed: a
+/// region may start in a static object's destructor.  Idle helpers park on
+/// a futex, and process exit ends them.
+Crew& crew() {
+  static Crew* const instance = new Crew(affinity_cpus() - 1);
+  return *instance;
+}
+
+}  // namespace
+
+size_t max_threads() { return t_budget != 0 ? t_budget : affinity_cpus(); }
+
+void set_max_threads(size_t n) { t_budget = std::min(n, affinity_cpus()); }
+
+void detail::fork_join(size_t max_parts, RegionBody body, void* ctx) {
+  if (max_parts <= 1) return body(ctx, 0, 1);
+  const size_t parts = std::min(max_parts, max_threads());
+  const size_t caller_budget = std::exchange(t_budget, 1);
+  if (parts <= 1 || !crew().try_run(parts, body, ctx)) body(ctx, 0, 1);
+  t_budget = caller_budget;
+}
+
+ThreadPool::ThreadPool(size_t workers) {
+  if (workers == 0) workers = affinity_cpus();
+  const size_t budget = std::max<size_t>(1, affinity_cpus() / workers);
   threads_.reserve(workers);
   for (size_t w = 0; w < workers; ++w)
-    threads_.emplace_back([this, w] { worker_loop(w); });
+    threads_.emplace_back([this, w, budget] {
+      set_max_threads(budget);
+      pool_threads.fetch_add(1, std::memory_order_relaxed);
+      worker_loop(w);
+      pool_threads.fetch_sub(1, std::memory_order_relaxed);
+    });
 }
 
 ThreadPool::~ThreadPool() {

@@ -1,4 +1,4 @@
-// Wall-clock timing for the native (OpenMP) measurements.
+// Wall-clock timing for the native (host-parallel) measurements.
 #pragma once
 
 #include <chrono>

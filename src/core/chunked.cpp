@@ -60,9 +60,7 @@ std::vector<std::unique_ptr<Codec>> make_worker_codecs(size_t workers,
 }
 
 size_t resolve_workers(size_t max_parallelism, size_t num_tasks) {
-  const size_t cap =
-      max_parallelism == 0 ? static_cast<size_t>(max_threads())
-                           : max_parallelism;
+  const size_t cap = max_parallelism == 0 ? max_threads() : max_parallelism;
   return std::max<size_t>(1, std::min(cap, num_tasks));
 }
 

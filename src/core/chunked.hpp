@@ -34,7 +34,7 @@ struct ChunkedParams {
   /// Target number of chunks ("devices"); the actual count may be lower
   /// for small fields (at least one slowest-axis slab per chunk).
   size_t num_chunks = 4;
-  /// Upper bound on concurrent chunk workers: 0 = one per hardware thread,
+  /// Upper bound on concurrent chunk workers: 0 = max_threads(),
   /// 1 = serial (the reference order for byte-identicality tests).
   size_t max_parallelism = 0;
   /// Container format version to write.  2 (the default) embeds the chunk

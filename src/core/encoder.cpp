@@ -113,11 +113,9 @@ void compact_tiles(std::span<const u32> words, std::span<const u8> bit_flags,
                                            (tiles - 1) * kFlagBytesPerTile);
   FZ_REQUIRE(blocks_out.size() == nonzero * kBlockBytes,
              "encoder: block output size mismatch");
-  // One contiguous run of tiles per thread, and none below kMinCompactTiles:
-  // a small field is one run, copied on the calling thread with no fork.
-  const size_t grain = std::max(
-      kMinCompactTiles, div_ceil(tiles, static_cast<size_t>(max_threads())));
-  parallel_chunks(tiles, grain, [&](size_t b, size_t e) {
+  // parallel_for's static blocks give each thread one contiguous run of
+  // tiles; a field under kMinCompactTiles tiles is copied on the caller.
+  parallel_chunks(tiles, kMinCompactTiles, [&](size_t b, size_t e) {
     for (size_t t = b; t < e; ++t) {
       const u32* tile = words.data() + t * kTileWords;
       const u8* flags = bit_flags.data() + t * kFlagBytesPerTile;

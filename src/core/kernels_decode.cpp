@@ -94,8 +94,7 @@ StripPlan fused_decode_plan(Dims dims, size_t workers) {
   }
   const size_t tiles =
       div_ceil(std::max<size_t>(dims.count(), 1), kCodesPerTile);
-  const size_t w =
-      workers != 0 ? workers : static_cast<size_t>(max_threads());
+  const size_t w = workers != 0 ? workers : max_threads();
   plan.strips = std::max<size_t>(1, std::min({w, plan.planes, tiles}));
   return plan;
 }

@@ -42,7 +42,7 @@ class Sink;
 namespace fz {
 
 /// Strip plan of the fused decode: min(workers, hyperplanes, tiles) strips
-/// (workers 0 = the hardware thread count) over the outermost axis.
+/// (workers 0 = max_threads()) over the outermost axis.
 /// Deterministic in (dims, workers).
 StripPlan fused_decode_plan(Dims dims, size_t workers);
 

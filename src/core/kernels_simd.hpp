@@ -121,8 +121,8 @@ struct FusedParallelPlan {
                              ///< (exact counts ride the "fused-strip" spans)
 };
 
-/// Partition `dims` into tile strips for `workers` workers (0 = one strip
-/// per hardware thread).  The strip count is clamped so the halo-recompute
+/// Partition `dims` into tile strips for `workers` workers (0 =
+/// max_threads()).  The strip count is clamped so the halo-recompute
 /// overhead stays a small fraction of the total work; the plan is
 /// deterministic in (dims, workers) — it never depends on thread timing.
 FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);

@@ -63,17 +63,17 @@ void forward_3d(std::span<const i64> p, size_t nx, size_t ny, size_t nz,
   }
 }
 
-/// Chunk grain for line-parallel scans: enough lines per claim that the
-/// task-crew fallback pays one atomic per ~16Ki elements, not per line.
+/// Chunk grain for line-parallel scans: enough lines per chunk that a
+/// chunk covers ~16Ki elements, not one line.
 size_t line_grain(size_t line_len) {
   return std::max<size_t>(1, (size_t{1} << 14) / std::max<size_t>(1, line_len));
 }
 
 /// Deterministic chunk count for the boundary-propagation scans: at most
-/// one chunk per worker (0 = hardware threads), each covering at least
+/// one chunk per worker (0 = max_threads()), each covering at least
 /// `min_per` lines so the two extra passes stay negligible.
 size_t scan_chunk_split(size_t lines, size_t workers, size_t min_per) {
-  size_t w = workers != 0 ? workers : static_cast<size_t>(max_threads());
+  size_t w = workers != 0 ? workers : max_threads();
   w = std::min(w, lines / std::max<size_t>(min_per, 1));
   return std::max<size_t>(w, 1);
 }
@@ -216,7 +216,7 @@ void scan_z_chunked(std::span<i64> a, size_t nx, size_t ny, size_t nz,
 }
 
 void scan_z(std::span<i64> a, Dims dims, size_t workers) {
-  const size_t w = workers != 0 ? workers : static_cast<size_t>(max_threads());
+  const size_t w = workers != 0 ? workers : max_threads();
   if (dims.y < w) {
     // Too few y-rows to occupy the crew (flat or thin-slab volumes): chunk
     // the z-chain itself and propagate plane-granular boundary offsets.

@@ -68,9 +68,9 @@ struct FzParams {
   QuantVersion quant = QuantVersion::V2Optimized;
   /// Host execution: worker count for the fused passes' strips — the
   /// tile-parallel compress pass and the decode strips of a V2 decompress
-  /// (and the chunked inverse-Lorenzo scans of a V1 decompress).  0 = one
-  /// strip per hardware thread.  The per-element passes around them
-  /// (validation, block compaction, reconstruct) still use every core.
+  /// (and the chunked inverse-Lorenzo scans of a V1 decompress).  0 = the
+  /// calling thread's budget (max_threads()), which the per-element passes
+  /// around them (validation, block compaction, reconstruct) use too.
   /// Every worker count emits byte-identical streams and restores
   /// byte-identical fields — pinned by tests/test_fused_parallel.cpp and
   /// tests/test_fused_decompress.cpp — so this is purely a performance

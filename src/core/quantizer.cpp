@@ -15,8 +15,8 @@ namespace fz {
 
 namespace {
 
-// Chunked grain for the trivial per-element loops: one atomic claim per
-// 32Ki elements instead of one per element in the task-crew fallback.
+// Chunk grain for the trivial per-element loops: one work item per 32Ki
+// elements, so a small field stays on the calling thread.
 constexpr size_t kQuantGrain = size_t{1} << 15;
 
 /// |p| at or past this leaves too little of the i64 range for llround.
@@ -217,8 +217,7 @@ void quant_encode_v1(std::span<const i64> deltas, u32 radius,
   outliers.clear();
   // Outlier collection is order-dependent; run sequentially per chunk and
   // merge (outliers are rare so the merge is cheap).
-  std::vector<std::vector<Outlier>> partial(
-      static_cast<size_t>(max_threads()) + 1);
+  std::vector<std::vector<Outlier>> partial(max_threads() + 1);
   const size_t chunk = div_ceil(deltas.size(), partial.size());
   parallel_for(0, partial.size(), [&](size_t c) {
     const size_t b = c * chunk;

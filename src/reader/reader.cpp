@@ -14,12 +14,6 @@ namespace fz {
 
 namespace {
 
-size_t resolve_workers(size_t workers) {
-  if (workers != 0) return workers;
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 /// The container identity, or a single-field f32 stream wrapped as a
 /// one-chunk container (version 0) so slicing works on any stream.
 ContainerInfo make_info(ByteSpan stream) {
@@ -53,15 +47,10 @@ Reader::Reader(ByteSpan stream, ReaderOptions options)
                                          : telemetry::active_sink()),
       cache_(options.cache_bytes, sink_),
       prefetcher_(options.max_prefetch),
-      pool_(resolve_workers(options.workers)) {
+      pool_(options.workers) {
   buffers_.set_telemetry(sink_);
   FzParams params;
   params.telemetry = sink_;
-  // One chunk per worker is the parallelism unit here; keep each decode's
-  // internal fan-out — the fused decode strips and the inverse-Lorenzo
-  // scans — single-strip so the pool never oversubscribes.  Chunk fetches
-  // still ride the fused decompress graph (one strip per fetch).
-  params.fused_workers = 1;
   codecs_.reserve(pool_.worker_count());
   for (size_t w = 0; w < pool_.worker_count(); ++w)
     codecs_.push_back(std::make_unique<Codec>(params));

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "datasets/generators.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -151,7 +152,6 @@ int cmd_selftest(const Args& args) {
   const fz::ErrorBound eb = fz::ErrorBound::relative(1e-3);
   fz::FzParams params;
   params.eb = eb;
-  params.fused_workers = 1;
   const fz::FzCompressed direct =
       fz::fz_compress(field.values(), field.dims, params);
   CHECK(client.compress(field.values(), field.dims, eb, resp).ok(),
@@ -236,7 +236,6 @@ int cmd_soak(const Args& args) {
       fz::generate_field(fz::Dataset::CESM, fz::Dims{128, 64, 16}));
   fz::FzParams params;
   params.eb = plan.eb;
-  params.fused_workers = 1;
   for (const fz::Field& f : plan.fields)
     plan.expected.push_back(
         fz::fz_compress(f.values(), f.dims, params).bytes);
@@ -262,7 +261,8 @@ int cmd_soak(const Args& args) {
   std::atomic<size_t> retries{0};
   std::atomic<size_t> completed{0};
 
-  fz::run_task_crew(clients, clients, [&](size_t task, size_t) {
+  fz::ThreadPool client_pool(clients);  // counts a client that throws
+  auto run_client = [&](size_t task) {
     std::unique_ptr<fz::Client> client;
     if (over_wire) client = std::make_unique<fz::Client>(args.socket_path);
     fz::Request req;
@@ -294,7 +294,11 @@ int cmd_soak(const Args& args) {
         break;
       }
     }
-  });
+  };
+  for (size_t task = 0; task < clients; ++task)
+    client_pool.submit([&run_client, task](size_t) { run_client(task); });
+  client_pool.wait_idle();
+  failures += client_pool.dropped_exceptions();
 
   const fz::Service::Counters c = service.counters();
   std::cout << "fzd soak: " << completed.load() << " responses ("

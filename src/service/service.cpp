@@ -51,11 +51,6 @@ Service::Service(Options options) : opts_(options), pool_(options.workers) {
 
   FzParams cp = opts_.codec;
   cp.telemetry = sink_;
-  // The service parallelizes across jobs; one job must not fan out over
-  // every hardware thread underneath N concurrent workers.  The cap rides
-  // into decompress jobs too (begin_decompress carries it), where the
-  // fused decode pass runs one strip per job.
-  if (cp.fused_workers == 0) cp.fused_workers = 1;
 
   // One Codec per pool worker (the Codec threading contract).  Codec
   // construction validates cp, so a misconfigured service fails here with

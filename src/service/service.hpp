@@ -60,7 +60,7 @@ class Service {
   static constexpr size_t kMaxBatch = 32;
 
   struct Options {
-    /// Worker threads, one Codec each (0 = one per hardware thread).
+    /// Worker threads, one Codec each (0 = one per affinity-mask CPU).
     size_t workers = 0;
     /// Admission-queue slots; a submit against a full queue returns
     /// StatusCode::QueueFull instead of blocking or growing the queue.
@@ -77,8 +77,7 @@ class Service {
     /// so the zero-allocation soak runs sinkless).
     telemetry::Sink* telemetry = nullptr;
     /// Base parameters for every worker Codec.  The per-job error bound
-    /// overrides `codec.eb`; fused_workers 0 is forced to 1 — the service
-    /// parallelizes across jobs, not inside one.
+    /// overrides `codec.eb`.
     FzParams codec;
   };
 

@@ -19,7 +19,7 @@ void scan_exclusive_sequential(std::span<const u32> in, std::span<u32> out) {
 
 size_t scan_chunk_count(size_t n) {
   if (n == 0) return 0;
-  const size_t nthreads = static_cast<size_t>(max_threads());
+  const size_t nthreads = max_threads();
   const size_t chunk = std::max<size_t>(div_ceil(n, nthreads), 4096);
   return div_ceil(n, chunk);
 }

@@ -148,19 +148,13 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
 
   // The pool-stats check above only proves scratch buffers recycle; the
   // global counter proves the whole decompress path (header parse, stage
-  // graph, disabled telemetry hooks) performs literally zero heap
-  // allocations once warm.  The OpenMP runtime reuses its worker pool; the
-  // no-OpenMP run_task_crew fallback spawns std::threads per parallel region,
-  // so the strict assertion is OpenMP-only.
+  // graph, disabled telemetry hooks, the fork/join crew) performs
+  // literally zero heap allocations once warm.
   EXPECT_GT(g_alloc_count.load(), 0u);  // the counter is actually wired in
   const size_t before = g_alloc_count.load();
   for (int round = 0; round < 3; ++round) codec.decompress_into(c.bytes, out);
-#if defined(FZ_HAVE_OPENMP)
   EXPECT_EQ(g_alloc_count.load(), before)
       << "steady-state decompress_into allocated";
-#else
-  EXPECT_GE(g_alloc_count.load(), before);
-#endif
 
   // The loop above rides the fused decompress graph (V2); a V1 stream runs
   // the classic staged graph, which must stay allocation-free too.
@@ -177,12 +171,8 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   const auto classic_steady = classic.pool().stats();
   EXPECT_EQ(classic_steady.misses, classic_warm.misses)
       << "classic decompress steady state hit the heap";
-#if defined(FZ_HAVE_OPENMP)
   EXPECT_EQ(g_alloc_count.load(), classic_before)
       << "steady-state classic decompress_into allocated";
-#else
-  EXPECT_GE(g_alloc_count.load(), classic_before);
-#endif
   EXPECT_TRUE(error_bounded(f.values(), out, c1.stats.abs_eb));
 }
 

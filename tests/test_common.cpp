@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -13,11 +14,8 @@
 #include "common/buffer.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/types.hpp"
-
-#if defined(FZ_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace fz {
 namespace {
@@ -163,7 +161,7 @@ TEST(Parallel, ForCoversRangeOnce) {
 }
 
 TEST(Parallel, ExceptionsPropagateToCaller) {
-  // Exceptions thrown inside OpenMP regions would call std::terminate
+  // An exception escaping a helper thread would call std::terminate
   // without the capture-and-rethrow in parallel_for; decoders depend on it.
   EXPECT_THROW(parallel_for(0, 1000,
                             [&](size_t i) {
@@ -173,14 +171,13 @@ TEST(Parallel, ExceptionsPropagateToCaller) {
 }
 
 TEST(Parallel, SingleIterationRunsOnTheCaller) {
-  // One iteration (or one chunk) forks no team: it runs inline, and its
-  // exception reaches the caller unchanged.
+  // One iteration (or one chunk) wakes no helper: it runs inline, with the
+  // caller's budget, and its exception reaches the caller unchanged.
   const std::thread::id caller = std::this_thread::get_id();
+  const size_t budget = max_threads();
   auto expect_inline = [&] {
     EXPECT_EQ(std::this_thread::get_id(), caller);
-#if defined(FZ_HAVE_OPENMP)
-    EXPECT_FALSE(omp_in_parallel());
-#endif
+    EXPECT_EQ(max_threads(), budget);
   };
   std::vector<size_t> seen;
   parallel_for(7, 8, [&](size_t i) {
@@ -195,6 +192,113 @@ TEST(Parallel, SingleIterationRunsOnTheCaller) {
   EXPECT_EQ(seen, (std::vector<size_t>{7, 0, 40}));
   EXPECT_THROW(parallel_for(3, 4, [](size_t) { throw Error("boom"); }), Error);
   parallel_for(5, 5, [](size_t) { FAIL(); });
+}
+
+/// CPUs in this process's affinity mask, counted independently of the crew.
+size_t affinity_cpu_count() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  return static_cast<size_t>(CPU_COUNT(&set));
+}
+
+TEST(Parallel, PlainThreadBudgetIsTheAffinityMask) {
+  // Pinned (taskset -c 0) this is 1, not the machine's CPU count: helpers
+  // sized from every online CPU would all spin on the one allowed CPU.
+  const size_t cpus = affinity_cpu_count();
+  EXPECT_EQ(max_threads(), cpus);
+  set_max_threads(1);
+  EXPECT_EQ(max_threads(), 1u);
+  set_max_threads(cpus + 7);  // clamps to the mask
+  EXPECT_EQ(max_threads(), cpus);
+  set_max_threads(0);  // back to the default
+  EXPECT_EQ(max_threads(), cpus);
+}
+
+TEST(Parallel, PoolWorkerBudgetIsCpusOverWorkers) {
+  const size_t cpus = affinity_cpu_count();
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{3}, cpus + 1}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<size_t>> budget(workers);
+    for (size_t t = 0; t < workers; ++t)
+      pool.submit([&](size_t w) { budget[w] = max_threads(); });
+    pool.wait_idle();
+    const size_t want = std::max<size_t>(1, cpus / workers);
+    for (size_t w = 0; w < workers; ++w) {
+      const size_t got = budget[w].load();  // 0: this worker ran no task
+      if (got != 0) {
+        EXPECT_EQ(got, want) << workers << " workers";
+      }
+    }
+  }
+}
+
+TEST(Parallel, NestedRegionRunsOnItsCaller) {
+  std::atomic<size_t> inner{0};
+  std::atomic<size_t> off_thread{0};
+  parallel_for(0, 64, [&](size_t) {
+    EXPECT_EQ(max_threads(), 1u);  // the budget inside a region
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for(0, 100, [&](size_t) {
+      if (std::this_thread::get_id() != outer) ++off_thread;
+      ++inner;
+    });
+  });
+  EXPECT_EQ(inner.load(), 6400u);
+  EXPECT_EQ(off_thread.load(), 0u);
+}
+
+TEST(Parallel, ConcurrentRegionsFinishExactOneOnItsCaller) {
+  // The main thread holds the crew (when there is one) until the other
+  // thread's region has finished; that region, started while the crew is
+  // held, must run on its own caller.  Its pool worker's budget is every
+  // CPU, so it would take the crew if it were free.
+  constexpr u64 kN = 20000;
+  std::atomic<bool> main_inside{false};
+  std::atomic<bool> other_done{false};
+  std::atomic<u64> main_sum{0};
+  std::atomic<u64> other_sum{0};
+  std::atomic<size_t> other_off_caller{0};
+  ThreadPool other(1);
+  other.submit([&](size_t) {
+    while (!main_inside) std::this_thread::yield();
+    const std::thread::id caller = std::this_thread::get_id();
+    parallel_for(0, kN, [&](size_t i) {
+      if (std::this_thread::get_id() != caller) ++other_off_caller;
+      other_sum += i;
+    });
+    other_done = true;
+  });
+  parallel_for(0, kN, [&](size_t i) {
+    if (i == 0) {  // the first block is always the caller's
+      main_inside = true;
+      while (!other_done) std::this_thread::yield();
+    }
+    main_sum += i;
+  });
+  other.wait_idle();
+  EXPECT_EQ(main_sum.load(), kN * (kN - 1) / 2);
+  EXPECT_EQ(other_sum.load(), kN * (kN - 1) / 2);
+  EXPECT_EQ(other_off_caller.load(), 0u);
+}
+
+TEST(Parallel, HelperExceptionReachesTheCaller) {
+  // The last block belongs to a helper whenever the budget allows one.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown_by_helper{false};
+  EXPECT_THROW(parallel_for(0, 1000,
+                            [&](size_t i) {
+                              if (i != 999) return;
+                              thrown_by_helper =
+                                  std::this_thread::get_id() != caller;
+                              throw Error("helper");
+                            }),
+               Error);
+  EXPECT_EQ(thrown_by_helper.load(), max_threads() > 1);
+  // The crew is released after a failed region.
+  std::vector<int> hits(1000, 0);
+  parallel_for(0, hits.size(), [&](size_t i) { hits[i]++; });
+  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Parallel, ChunksCoverRangeOnce) {

@@ -172,7 +172,7 @@ TEST(FusedDecompress, DecodePlanReachesTheBoundaryShapes) {
   // Never more strips than tiles, and deterministic in (dims, workers).
   EXPECT_EQ(fused_decode_plan(Dims{5000}, 8).strips, 3u);
   EXPECT_EQ(fused_decode_plan(Dims{2049}, 0).strips,
-            std::min<size_t>(2, static_cast<size_t>(max_threads())));
+            std::min<size_t>(2, max_threads()));
 }
 
 TEST(FusedDecompress, HostileFlagsAndTruncationsFailBeforeAnyStripReads) {

@@ -115,6 +115,17 @@ Request compress_request(const Field& f, ErrorBound eb) {
   return req;
 }
 
+/// Run fn(c) for every client c in [0, clients), each on its own pool
+/// worker, and wait for all of them.
+template <typename Fn>
+void run_clients(size_t clients, const Fn& fn) {
+  ThreadPool pool(clients);
+  for (size_t c = 0; c < clients; ++c)
+    pool.submit([&fn, c](size_t) { fn(c); });
+  pool.wait_idle();
+  EXPECT_EQ(pool.dropped_exceptions(), 0u);
+}
+
 std::string test_socket_path(const char* tag) {
   return "/tmp/fz-test-" + std::string(tag) + "-" +
          std::to_string(static_cast<long>(::getpid())) + ".sock";
@@ -207,7 +218,6 @@ TEST(Service, CompressDecompressInspectMatchDirectCodec) {
   const ErrorBound eb = ErrorBound::relative(1e-3);
   FzParams params;
   params.eb = eb;
-  params.fused_workers = 1;  // what the service forces for its workers
   const FzCompressed direct = fz_compress(f.values(), f.dims, params);
 
   Service::Options opt;
@@ -459,7 +469,6 @@ TEST(Service, SubmitIsUsableFromManyThreadsAtOnce) {
   const ErrorBound eb = ErrorBound::relative(1e-3);
   FzParams params;
   params.eb = eb;
-  params.fused_workers = 1;
   const std::vector<u8> expected = fz_compress(f.values(), f.dims, params).bytes;
 
   Service::Options opt;
@@ -468,7 +477,7 @@ TEST(Service, SubmitIsUsableFromManyThreadsAtOnce) {
   Service service(opt);
 
   std::atomic<size_t> mismatches{0};
-  run_task_crew(8, 8, [&](size_t, size_t) {
+  run_clients(8, [&](size_t) {
     Request req = compress_request(f, eb);
     Response resp;
     for (int i = 0; i < 25; ++i) {
@@ -502,7 +511,6 @@ TEST(ServiceSoak, MixedTrafficIsByteIdenticalAndSteadyStateIsAllocFree) {
   const ErrorBound eb = ErrorBound::relative(1e-3);
   FzParams params;
   params.eb = eb;
-  params.fused_workers = 1;
 
   std::vector<Field> fields;
   fields.push_back(noisy_field(Dims{512}, 101));          // tiny (batched)
@@ -524,7 +532,7 @@ TEST(ServiceSoak, MixedTrafficIsByteIdenticalAndSteadyStateIsAllocFree) {
   std::atomic<size_t> failures{0};
   std::atomic<size_t> completed{0};
 
-  run_task_crew(kClients, kClients, [&](size_t task, size_t) {
+  run_clients(kClients, [&](size_t task) {
     Request req;
     Response resp;
     req.kind = JobKind::Compress;
@@ -574,15 +582,7 @@ TEST(ServiceSoak, MixedTrafficIsByteIdenticalAndSteadyStateIsAllocFree) {
     const Status s = service.submit(req, resp);
     ASSERT_TRUE(s.ok());
   }
-#if defined(FZ_HAVE_OPENMP)
-  EXPECT_EQ(g_alloc_count.load(), before)
-      << "warm service loop hit the heap";
-#else
-  // Without OpenMP the comparison stays informative but non-fatal: the
-  // fused pass runs with fused_workers=1 (inline, no thread spawn), so
-  // this still holds in practice.
-  EXPECT_GE(g_alloc_count.load(), before);
-#endif
+  EXPECT_EQ(g_alloc_count.load(), before) << "warm service loop hit the heap";
   EXPECT_EQ(resp.payload, expected[2]);
 }
 
@@ -684,7 +684,6 @@ TEST(ServerSocket, EndToEndRoundTripAndStats) {
   const ErrorBound eb = ErrorBound::relative(1e-3);
   FzParams params;
   params.eb = eb;
-  params.fused_workers = 1;
   const FzCompressed direct = fz_compress(f.values(), f.dims, params);
 
   Client client(path);
@@ -720,11 +719,10 @@ TEST(ServerSocket, ManyClientsOverTheWire) {
   const ErrorBound eb = ErrorBound::relative(1e-3);
   FzParams params;
   params.eb = eb;
-  params.fused_workers = 1;
   const std::vector<u8> expected = fz_compress(f.values(), f.dims, params).bytes;
 
   std::atomic<size_t> mismatches{0};
-  run_task_crew(6, 6, [&](size_t, size_t) {
+  run_clients(6, [&](size_t) {
     Client client(path);
     Response resp;
     for (int i = 0; i < 20; ++i) {
