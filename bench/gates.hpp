@@ -58,6 +58,13 @@ class Gates {
           format("%s %.2fx, need >= %.2fx", what.c_str(), ratio, floor));
   }
 
+  /// A ratio gate: passes when `ratio <= ceiling`.
+  void at_most(const std::string& name, const std::string& what, double ratio,
+               double ceiling) {
+    check(name, ratio <= ceiling,
+          format("%s %.2fx, need <= %.2fx", what.c_str(), ratio, ceiling));
+  }
+
   int exit_code() const {
     std::fflush(stdout);
     if (failed_.empty()) return 0;

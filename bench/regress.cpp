@@ -1,11 +1,12 @@
 // Performance regression bench: wall-clock GB/s of each vectorized
 // pipeline stage at every SIMD dispatch level, end-to-end compression for
 // the {unfused, fused-parallel} x {scalar, best-SIMD} configs on the tier-1
-// benchmark suite, a fused-parallel thread-scaling sweep (1/2/4/max
+// benchmark suite, a fused-parallel thread-scaling sweep (1/2/4/auto
 // workers, compress and decompress), a gap-array Huffman decode sweep
 // (1/2/4/max workers table-driven, plus the bit-serial walk at one worker),
 // fused vs classic (staged) decompression per dataset, and a 3-D z-carry
-// chunked-scan thread sweep on a flat volume.  The unfused rows drive the
+// chunked-scan thread sweep on a flat volume, and the fork/join latency of
+// two-participant regions.  The unfused rows drive the
 // reference graph (make_compress_stages / make_decompress_stages) over a
 // PipelineContext directly; fz::Codec runs V2 through the fused graphs.
 // "prequant-f32" times the unfused graph's exact f32 row,
@@ -24,9 +25,13 @@
 //   fused-decompress     each dataset: fused >= 0.95 x classic
 //   zscan-identity       chunked z-scan bytes equal the serial scan's
 //   zscan-scaling        z-scan max workers >= 0.95 x one worker
+//   fork-latency         median two-participant region <= 4 x one
+//                        participant (a helper stuck on its caller's CPU
+//                        reads about 400 x)
 //
 // Usage: regress [--scale S] [--iters N]
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <iostream>
@@ -40,6 +45,7 @@
 #include "core/bitshuffle.hpp"
 #include "core/codec.hpp"
 #include "core/format.hpp"
+#include "core/kernels_decode.hpp"
 #include "core/kernels_simd.hpp"
 #include "core/lorenzo.hpp"
 #include "core/pipeline.hpp"
@@ -198,7 +204,8 @@ int main(int argc, char** argv) {
   std::string best_speedup_dataset;
   struct ScalingRow {
     std::string dataset;
-    size_t workers;
+    std::string workers;
+    std::string strips;  ///< compress / decode
     double compress_gbps, decompress_gbps;
   };
   std::vector<ScalingRow> scaling_rows;
@@ -233,8 +240,9 @@ int main(int argc, char** argv) {
     comp_table.add_row({f.dataset, num(results[0]), num(results[1]),
                         num(results[kParallelSimd]), num(speedup) + "x"});
 
-    // Thread-scaling sweep (compress + decompress) at 1/2/4/max workers.
-    // The stream is identical at every worker count (asserted above and in
+    // Thread-scaling sweep (compress + decompress) at 1/2/4 workers and
+    // auto (0: the strips the work floor gives within the budget).  The
+    // stream is identical at every worker count (asserted above and in
     // tests); only the wall clock may change.
     for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
       FzParams p;
@@ -247,9 +255,11 @@ int main(int argc, char** argv) {
       std::vector<f32> out(f.count());
       const double td = min_seconds(
           iters, [&] { codec.decompress_into(comp.bytes, out); });
-      const size_t eff = workers == 0 ? hw_threads : workers;
       scaling_rows.push_back(
-          {f.dataset, eff, gbps(f.bytes(), tc), gbps(f.bytes(), td)});
+          {f.dataset, workers == 0 ? "auto" : std::to_string(workers),
+           std::to_string(fused_parallel_plan(f.dims, workers).strips) + "/" +
+               std::to_string(fused_decode_plan(f.dims, workers).strips),
+           gbps(f.bytes(), tc), gbps(f.bytes(), td)});
     }
   }
   std::cout << "\nCompression throughput (GB/s), rel eb 1e-3; speedup = "
@@ -257,9 +267,9 @@ int main(int argc, char** argv) {
   comp_table.print(std::cout);
 
   bench::Table scale_table(
-      {"dataset", "workers", "compress GB/s", "decompress GB/s"});
+      {"dataset", "workers", "strips c/d", "compress GB/s", "decompress GB/s"});
   for (const ScalingRow& r : scaling_rows)
-    scale_table.add_row({r.dataset, std::to_string(r.workers),
+    scale_table.add_row({r.dataset, r.workers, r.strips,
                          num(r.compress_gbps), num(r.decompress_gbps)});
   std::cout << "\nFused-parallel thread scaling:\n";
   scale_table.print(std::cout);
@@ -397,6 +407,38 @@ int main(int argc, char** argv) {
     z_table.print(std::cout);
   }
 
+  // ---- fork/join latency ----------------------------------------------------
+  // Regions of two 16 KiB tasks forced onto two participants, against the
+  // same regions at a budget of 1, taking turns; median of 200 each.
+  double fork_us[2] = {0, 0};
+  {
+    constexpr size_t kTaskWords = 2048;
+    std::vector<u64> words(2 * kTaskWords, 3);
+    std::atomic<u64> total{0};
+    std::vector<double> us[2];
+    for (int k = 0; k < 200; ++k) {
+      for (size_t budget : {size_t{1}, size_t{2}}) {
+        set_max_threads(budget);
+        us[budget - 1].push_back(1e6 * min_seconds(1, [&] {
+          parallel_tasks(2, 2, [&](size_t t, size_t) {
+            u64 sum = 0;
+            for (size_t i = t * kTaskWords; i < (t + 1) * kTaskWords; ++i)
+              sum += words[i] * i;
+            total += sum;
+          });
+        }));
+      }
+    }
+    set_max_threads(0);
+    for (size_t k = 0; k < 2; ++k) {
+      std::nth_element(us[k].begin(), us[k].begin() + 100, us[k].end());
+      fork_us[k] = us[k][100];
+    }
+    std::cout << "\nFork/join latency (median of 200 regions of 2 x 16 KiB):"
+              << " 1 participant " << num(fork_us[0]) << " us, 2 participants "
+              << num(fork_us[1]) << " us\n";
+  }
+
   // ---- within-run gates -----------------------------------------------------
   std::cout << "\n";
   bench::Gates gates("regress");
@@ -422,5 +464,7 @@ int main(int argc, char** argv) {
               "chunked z-scan bytes equal the serial scan's");
   gates.at_least("zscan-scaling", "max-workers / one-worker",
                  zscan_gbps.back() / zscan_gbps.front(), 0.95);
+  gates.at_most("fork-latency", "median 2-participant / 1-participant region",
+                fork_us[1] / fork_us[0], 4.0);
   return gates.exit_code();
 }

@@ -1,14 +1,16 @@
 // Fork/join for every parallel loop in the native backends: parallel_for,
 // parallel_chunks, parallel_tasks and the one reduction, parallel_range.
 // All run on one process-wide crew (thread_pool.cpp): a helper per CPU in
-// the affinity mask beyond the caller, who is participant 0.  A region
-// takes min(its work items, the caller's budget) participants; the budget
-// (max_threads()) is every CPU on a plain thread, CPUs / workers (at least
-// 1) on a fz::ThreadPool worker, and 1 inside a region.  A nested region,
-// or one started while another thread holds the crew, runs on its caller.
-// Regions allocate nothing on the heap (the first creates the crew), and
-// the first exception any participant throws is rethrown on the caller
-// after the join — decoders rely on this to reject corrupt streams.
+// the affinity mask beyond the caller, who is participant 0.  A static
+// region states the bytes one work item moves and takes parts_for(items,
+// item_bytes) participants; parallel_tasks takes the caller's count.  The
+// budget (max_threads()) is every CPU on a plain thread, CPUs / workers (at
+// least 1) on a fz::ThreadPool worker, and 1 inside a region.  A nested
+// region, or one started while another thread holds the crew, runs on its
+// caller.  Regions allocate nothing on the heap (the first creates the
+// crew), and the first exception any participant throws is rethrown on
+// the caller after the join — decoders rely on this to reject corrupt
+// streams.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +34,18 @@ size_t max_threads();
 /// Set the calling thread's budget: 0 restores the default, and larger
 /// values clamp to it.  fz::ThreadPool sets it for each of its workers.
 void set_max_threads(size_t budget);
+
+/// The fewest bytes (read plus written) a participant must move: below it,
+/// waking and joining a helper costs more than it saves (docs/PERFORMANCE.md).
+inline constexpr size_t kMinPartBytes = size_t{32} << 10;
+
+/// Participants for `items` work items of `item_bytes` (read plus written)
+/// each: min(items, max_threads(), items * item_bytes / kMinPartBytes), at
+/// least 1, so a region under twice the floor runs on its caller.
+inline size_t parts_for(size_t items, size_t item_bytes) {
+  return std::max<size_t>(
+      1, std::min({items, max_threads(), items * item_bytes / kMinPartBytes}));
+}
 
 namespace detail {
 
@@ -63,27 +77,25 @@ void run_region(size_t max_parts, Body&& body) {
 
 }  // namespace detail
 
-/// Parallel for over [begin, end) with a static schedule: participant p of
-/// P runs [n p / P, n (p + 1) / P) of the n iterations.  `fn(i)` must be
-/// independent across iterations.  One iteration runs on the calling thread.
+/// Static split of `count` items of `item_bytes` each (see parts_for):
+/// participant p of P runs fn(b, e) once, over its contiguous range
+/// [count p / P, count (p + 1) / P) of whole items.
 template <typename Fn>
-void parallel_for(size_t begin, size_t end, Fn&& fn) {
-  if (end <= begin) return;
-  const size_t n = end - begin;
-  detail::run_region(n, [&](size_t part, size_t parts) {
-    const size_t hi = begin + n * (part + 1) / parts;
-    for (size_t i = begin + n * part / parts; i < hi; ++i) fn(i);
+void parallel_chunks(size_t count, size_t item_bytes, Fn&& fn) {
+  if (count == 0) return;
+  detail::run_region(parts_for(count, item_bytes), [&](size_t p, size_t ps) {
+    fn(count * p / ps, count * (p + 1) / ps);
   });
 }
 
-/// Parallel for over chunks: fn(chunk_begin, chunk_end).  Used when per-
-/// iteration work is tiny and the body wants sequential inner loops.
-/// `chunk` must be nonzero (a zero chunk would divide by zero).
+/// fn(i) for every i in [begin, end), split as parallel_chunks splits
+/// end - begin items of `item_bytes` each.  `fn(i)` must be independent
+/// across iterations.
 template <typename Fn>
-void parallel_chunks(size_t count, size_t chunk, Fn&& fn) {
-  FZ_REQUIRE(chunk > 0, "parallel_chunks: chunk size must be nonzero");
-  parallel_for(0, (count + chunk - 1) / chunk, [&](size_t c) {
-    fn(c * chunk, std::min(count, c * chunk + chunk));
+void parallel_for(size_t begin, size_t end, size_t item_bytes, Fn&& fn) {
+  if (end <= begin) return;
+  parallel_chunks(end - begin, item_bytes, [&](size_t b, size_t e) {
+    for (size_t i = begin + b; i < begin + e; ++i) fn(i);
   });
 }
 
@@ -116,9 +128,9 @@ struct ValueRange {
   bool finite;  ///< no NaN/Inf anywhere; lo and hi are meaningful only then
 };
 
-/// Min, max and all-finite of a non-empty span in one pass: one work item
-/// per 16 Ki values, each participant's block reduced by a simd loop and
-/// merged into the result under a lock.  A value is non-finite exactly
+/// Min, max and all-finite of a non-empty span in one pass: each
+/// participant's range of values (one item each) is reduced by a simd loop
+/// and merged into the result under a lock.  A value is non-finite exactly
 /// when all its exponent bits are set, so the finite test is an integer
 /// compare+AND with no libm call, and the branchless select form of min and
 /// max vectorizes where `if (x < lo)` cannot.  On finite data min and max
@@ -132,14 +144,12 @@ ValueRange<T> parallel_range(std::span<const T> v) {
   constexpr U kExpMask = sizeof(T) == sizeof(u32)
                              ? static_cast<U>(0x7f800000u)
                              : static_cast<U>(0x7ff0000000000000ull);
-  constexpr size_t kGrain = size_t{1} << 14;
   FZ_REQUIRE(!v.empty(), "parallel_range: empty span");
   ValueRange<T> total{v[0], v[0], true};
   std::mutex total_mu;
-  const size_t n = v.size();
-  detail::run_region((n + kGrain - 1) / kGrain, [&](size_t part, size_t parts) {
-    const T* p = v.data() + n * part / parts;
-    const i64 len = static_cast<i64>(n * (part + 1) / parts - n * part / parts);
+  parallel_chunks(v.size(), sizeof(T), [&](size_t b, size_t e) {
+    const T* p = v.data() + b;
+    const i64 len = static_cast<i64>(e - b);
     T lo = p[0];
     T hi = p[0];
     int finite = 1;

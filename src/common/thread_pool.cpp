@@ -35,15 +35,39 @@ std::atomic<size_t> pool_threads{0};  ///< live ThreadPool workers
 /// regions back to back, and parking between them costs a futex wake each.
 /// While any ThreadPool worker lives, spin 100 pauses, as libgomp does once
 /// it runs more threads than CPUs: the spin would take a pool worker's CPU.
+/// Every 1 Ki pauses the spinner yields, so a thread that shares its CPU
+/// with the one it waits for lets it run instead of spinning out a tick.
 u32 await_change(const std::atomic<u32>& word, u32 old) {
   for (u32 spin = 0;; ++spin) {
     const u32 v = word.load(std::memory_order_acquire);
     if (v != old) return v;
     if (spin >= (pool_threads.load(std::memory_order_relaxed) ? 100u : 300000u))
       word.wait(old, std::memory_order_acquire);
+    else if (spin % 1024 == 1023)
+      sched_yield();
 #if defined(__x86_64__) || defined(__i386__)
     else __builtin_ia32_pause();
 #endif
+  }
+}
+
+/// Move the calling helper to the `h`-th CPU of the mask other than
+/// `creator_cpu`, then let it run anywhere in the mask again.  A new thread
+/// starts on its creator's CPU, and the kernel may leave a spinning thread
+/// there: a helper stuck beside its caller makes every region wait for a
+/// scheduler tick (about 4 ms) instead of a few microseconds.
+void leave_creator_cpu(size_t creator_cpu, size_t h) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+  for (size_t cpu = 0, seen = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &mask) || cpu == creator_cpu || seen++ != h) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    sched_setaffinity(0, sizeof(one), &one);
+    sched_setaffinity(0, sizeof(mask), &mask);
+    return;
   }
 }
 
@@ -52,8 +76,9 @@ u32 await_change(const std::atomic<u32>& word, u32 old) {
 class Crew {
  public:
   explicit Crew(size_t helpers) : go_(std::make_unique<Slot[]>(helpers)) {
+    const size_t cpu = static_cast<size_t>(sched_getcpu());  // -1: none
     for (size_t h = 0; h < helpers; ++h)
-      threads_.emplace_back([this, h] { helper_loop(h); });
+      threads_.emplace_back([this, h, cpu] { helper_loop(h, cpu); });
   }
 
   /// Run a region of 2 <= parts <= helpers + 1; false, running nothing,
@@ -76,7 +101,8 @@ class Crew {
  private:
   struct alignas(64) Slot { std::atomic<u32> go{0}; };
 
-  void helper_loop(size_t h) {
+  void helper_loop(size_t h, size_t creator_cpu) {
+    leave_creator_cpu(creator_cpu, h);
     t_budget = 1;
     for (u32 seen = 0;;) {
       seen = await_change(go_[h].go, seen);

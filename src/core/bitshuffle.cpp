@@ -37,14 +37,10 @@ void check_tile_args(std::span<const u32> in, std::span<u32> out) {
 
 }  // namespace
 
-// A 4 KiB tile is already a meaningful unit of work, but group a few per
-// work item anyway.
-constexpr size_t kTileGrain = 16;
-
 void bitshuffle_tiles(std::span<const u32> in, std::span<u32> out) {
   check_tile_args(in, out);
   const size_t tiles = in.size() / kTileWords;
-  parallel_chunks(tiles, kTileGrain, [&](size_t tb, size_t te) {
+  parallel_chunks(tiles, 2 * kTileBytes, [&](size_t tb, size_t te) {
     for (size_t t = tb; t < te; ++t) {
       const u32* tin = in.data() + t * kTileWords;
       u32* tout = out.data() + t * kTileWords;
@@ -64,7 +60,7 @@ void bitshuffle_tiles(std::span<const u32> in, std::span<u32> out) {
 void bitunshuffle_tiles(std::span<const u32> in, std::span<u32> out) {
   check_tile_args(in, out);
   const size_t tiles = in.size() / kTileWords;
-  parallel_chunks(tiles, kTileGrain, [&](size_t tb, size_t te) {
+  parallel_chunks(tiles, 2 * kTileBytes, [&](size_t tb, size_t te) {
     for (size_t t = tb; t < te; ++t) {
       const u32* tin = in.data() + t * kTileWords;
       u32* tout = out.data() + t * kTileWords;

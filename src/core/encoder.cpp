@@ -16,8 +16,9 @@ namespace {
 
 constexpr size_t kBlockBytes = kBlockWords * sizeof(u32);
 constexpr size_t kFlagBytesPerTile = kBlocksPerTile / 8;
-/// Fewest tiles (256 KiB of shuffled words) worth a thread of compaction.
-constexpr size_t kMinCompactTiles = 64;
+/// What compacting or scattering one block moves: its flag and offset
+/// read (at most 4 bytes each), its words read and written.
+constexpr size_t kBlockMoveBytes = 2 * sizeof(u32) + 2 * kBlockBytes;
 
 /// Nonzero blocks of one tile: the popcount of its flag bytes.
 u64 tile_nonzero_blocks(const u8* flags) {
@@ -39,10 +40,11 @@ void mark_blocks(std::span<const u32> words, std::span<u8> byte_flags,
              "encoder: flag array size mismatch");
   std::fill(byte_flags.begin(), byte_flags.end(), u8{0});
   std::fill(bit_flags.begin(), bit_flags.end(), u8{0});
-  // 4096-block chunks keep each thread's bit_flags writes on disjoint
-  // bytes (4096 % 8 == 0), so the |= below is race-free.
-  parallel_chunks(nblocks, 4096, [&](size_t b, size_t e) {
-    for (size_t blk = b; blk < e; ++blk) {
+  // An item is one flag byte's 8 blocks, so each part writes disjoint
+  // bit_flags bytes and the |= below is race-free.
+  constexpr size_t kItemBytes = 8 * (kBlockBytes + 1) + 1;
+  parallel_chunks(bit_flags.size(), kItemBytes, [&](size_t fb, size_t fe) {
+    for (size_t blk = fb * 8; blk < std::min(nblocks, fe * 8); ++blk) {
       const u32* w = words.data() + blk * kBlockWords;
       const u32 nz = w[0] | w[1] | w[2] | w[3];
       if (nz != 0) {
@@ -77,7 +79,7 @@ cudasim::CostSheet compact_blocks(std::span<const u32> words,
       scan_exclusive_device_model(flags32, offsets, scan_scratch, 2048);
   const size_t nonzero = nblocks == 0 ? 0 : offsets.back() + flags32.back();
   blocks_out.resize(nonzero * kBlockWords);
-  parallel_chunks(nblocks, 4096, [&](size_t b, size_t e) {
+  parallel_chunks(nblocks, kBlockMoveBytes, [&](size_t b, size_t e) {
     for (size_t blk = b; blk < e; ++blk) {
       if (byte_flags[blk] == 0) continue;
       const u32 slot = offsets[blk];
@@ -113,9 +115,10 @@ void compact_tiles(std::span<const u32> words, std::span<const u8> bit_flags,
                                            (tiles - 1) * kFlagBytesPerTile);
   FZ_REQUIRE(blocks_out.size() == nonzero * kBlockBytes,
              "encoder: block output size mismatch");
-  // parallel_for's static blocks give each thread one contiguous run of
-  // tiles; a field under kMinCompactTiles tiles is copied on the caller.
-  parallel_chunks(tiles, kMinCompactTiles, [&](size_t b, size_t e) {
+  // A tile reads its flags and moves its share of the nonzero blocks.
+  const size_t tile_bytes =
+      kFlagBytesPerTile + 2 * blocks_out.size() / std::max<size_t>(tiles, 1);
+  parallel_chunks(tiles, tile_bytes, [&](size_t b, size_t e) {
     for (size_t t = b; t < e; ++t) {
       const u32* tile = words.data() + t * kTileWords;
       const u8* flags = bit_flags.data() + t * kFlagBytesPerTile;
@@ -149,7 +152,7 @@ size_t decode_block_offsets(std::span<const u8> bit_flags,
                     "decoder: flag array too small");
   FZ_REQUIRE(offsets.size() == nblocks, "decoder: scratch size mismatch");
   // Offsets are recovered with the same prefix sum the encoder used.
-  parallel_chunks(nblocks, size_t{1} << 16, [&](size_t b, size_t e) {
+  parallel_chunks(nblocks, sizeof(u32) + 1, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i)
       flags32[i] = (bit_flags[i / 8] >> (i % 8)) & 1u;
   });
@@ -176,7 +179,7 @@ void decode_blocks(std::span<const u8> bit_flags, std::span<const u32> blocks,
   const size_t nblocks = out.size() / kBlockWords;
   FZ_REQUIRE(flags32.size() == nblocks, "decoder: scratch size mismatch");
   decode_block_offsets(bit_flags, blocks, flags32, offsets, scan_scratch);
-  parallel_chunks(nblocks, 4096, [&](size_t b, size_t e) {
+  parallel_chunks(nblocks, kBlockMoveBytes, [&](size_t b, size_t e) {
     for (size_t blk = b; blk < e; ++blk) {
       u32* dst = out.data() + blk * kBlockWords;
       if (flags32[blk] == 0) {

@@ -94,8 +94,11 @@ StripPlan fused_decode_plan(Dims dims, size_t workers) {
   }
   const size_t tiles =
       div_ceil(std::max<size_t>(dims.count(), 1), kCodesPerTile);
-  const size_t w = workers != 0 ? workers : max_threads();
-  plan.strips = std::max<size_t>(1, std::min({w, plan.planes, tiles}));
+  // A hyperplane reads its codes and writes its i64 partial sums.
+  const size_t plane_bytes = plan.plane_elems * (sizeof(u16) + sizeof(i64));
+  const size_t w = workers != 0 ? std::min(workers, plan.planes)
+                                : parts_for(plan.planes, plane_bytes);
+  plan.strips = std::max<size_t>(1, std::min(w, tiles));
   return plan;
 }
 

@@ -41,9 +41,10 @@ class Sink;
 
 namespace fz {
 
-/// Strip plan of the fused decode: min(workers, hyperplanes, tiles) strips
-/// (workers 0 = max_threads()) over the outermost axis.
-/// Deterministic in (dims, workers).
+/// Strip plan of the fused decode over the outermost axis:
+/// min(workers, hyperplanes, tiles) strips, or with workers 0
+/// min(parts_for(hyperplanes, their decode bytes), tiles)
+/// (common/parallel.hpp).  Deterministic in (dims, workers, budget).
 StripPlan fused_decode_plan(Dims dims, size_t workers);
 
 /// The strip pass.  `bit_flags` and `blocks` are the stream's sections

@@ -886,10 +886,14 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
 
 // ---- public entry points ---------------------------------------------------
 
-FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers) {
+FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers,
+                                      size_t value_bytes) {
   const size_t n = dims.count();
   const size_t tiles = div_ceil(std::max<size_t>(n, 1), kCodesPerTile);
-  size_t strips = std::min(workers != 0 ? workers : max_threads(), tiles);
+  // A tile reads its values and writes their codes.
+  const size_t tile_bytes = kCodesPerTile * (value_bytes + sizeof(u16));
+  size_t strips = workers != 0 ? std::min(workers, tiles)
+                               : parts_for(tiles, tile_bytes);
   // Keep the halo recompute a small fraction of the real work: each extra
   // strip re-prequantizes at most `bound` elements.
   const size_t bound = fused_halo_bound(dims);
@@ -928,7 +932,8 @@ void prequantize_simd(FloatSpan data, double eb, std::span<i64> out,
   FZ_REQUIRE(data.size() == out.size(), "prequantize: size mismatch");
   const double inv = 1.0 / (2.0 * eb);
   const KernelOps ops = ops_for(level);
-  parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
+  constexpr size_t kItemBytes = sizeof(f32) + sizeof(i64);
+  parallel_chunks(data.size(), kItemBytes, [&](size_t b, size_t e) {
     ops.prequant_f32(data.data() + b, e - b, inv, out.data() + b);
   });
 }
@@ -939,7 +944,8 @@ void prequantize_simd(std::span<const f64> data, double eb, std::span<i64> out,
   FZ_REQUIRE(data.size() == out.size(), "prequantize: size mismatch");
   const double inv = 1.0 / (2.0 * eb);
   const KernelOps ops = ops_for(level);
-  parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
+  constexpr size_t kItemBytes = sizeof(f64) + sizeof(i64);
+  parallel_chunks(data.size(), kItemBytes, [&](size_t b, size_t e) {
     ops.prequant_f64(data.data() + b, e - b, inv, out.data() + b);
   });
 }
@@ -951,16 +957,15 @@ void prequantize_f32fast(FloatSpan data, double eb, std::span<i64> out,
   const double inv = 1.0 / (2.0 * eb);
   const float invf = static_cast<float>(inv);
   const KernelOps ops = ops_for(level);
-  if (!f32_fast_ok(inv)) {
-    // fl32(inv) is subnormal, zero, or infinite — the fast path's error
-    // bound does not hold, so every element takes the exact kernel.
-    parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
+  // fl32(inv) subnormal, zero, or infinite: the fast path's error bound
+  // does not hold, so every element takes the exact kernel.
+  const bool fast = f32_fast_ok(inv);
+  constexpr size_t kItemBytes = sizeof(f32) + sizeof(i64);
+  parallel_chunks(data.size(), kItemBytes, [&](size_t b, size_t e) {
+    if (fast)
+      ops.prequant_f32fast(data.data() + b, e - b, inv, invf, out.data() + b);
+    else
       ops.prequant_f32(data.data() + b, e - b, inv, out.data() + b);
-    });
-    return;
-  }
-  parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
-    ops.prequant_f32fast(data.data() + b, e - b, inv, invf, out.data() + b);
   });
 }
 
@@ -969,7 +974,8 @@ size_t quant_encode_v2_simd(std::span<const i64> deltas, std::span<u16> codes,
   FZ_REQUIRE(codes.size() == deltas.size(), "quant: size mismatch");
   const KernelOps ops = ops_for(level);
   std::atomic<size_t> saturated{0};
-  parallel_chunks(deltas.size(), size_t{1} << 16, [&](size_t b, size_t e) {
+  constexpr size_t kItemBytes = sizeof(i64) + sizeof(u16);
+  parallel_chunks(deltas.size(), kItemBytes, [&](size_t b, size_t e) {
     const size_t local = ops.encode(deltas.data() + b, e - b, codes.data() + b);
     if (local != 0) saturated.fetch_add(local, std::memory_order_relaxed);
   });
@@ -984,7 +990,7 @@ void bitshuffle_tiles_simd(std::span<const u32> in, std::span<u32> out,
   FZ_REQUIRE(in.data() != out.data(), "bitshuffle: must not alias");
   const KernelOps ops = ops_for(level);
   const size_t tiles = in.size() / kTileWords;
-  parallel_chunks(tiles, 16, [&](size_t tb, size_t te) {
+  parallel_chunks(tiles, 2 * kTileBytes, [&](size_t tb, size_t te) {
     for (size_t t = tb; t < te; ++t) {
       const u32* tin = in.data() + t * kTileWords;
       u32* tout = out.data() + t * kTileWords;
@@ -1002,7 +1008,7 @@ void bitunshuffle_tiles_simd(std::span<const u32> in, std::span<u32> out,
   FZ_REQUIRE(in.data() != out.data(), "bitshuffle: must not alias");
   const KernelOps ops = ops_for(level);
   const size_t tiles = in.size() / kTileWords;
-  parallel_chunks(tiles, 16, [&](size_t tb, size_t te) {
+  parallel_chunks(tiles, 2 * kTileBytes, [&](size_t tb, size_t te) {
     for (size_t t = tb; t < te; ++t) {
       const u32* tin = in.data() + t * kTileWords;
       u32* tout = out.data() + t * kTileWords;
@@ -1026,10 +1032,13 @@ void mark_blocks_simd(std::span<const u32> words, std::span<u8> bit_flags,
   FZ_REQUIRE(bit_flags.size() == div_ceil(nblocks, 8),
              "encoder: flag array size mismatch");
   const KernelOps ops = ops_for(level);
-  // 4096-block chunks start on a flag-byte boundary (4096 % 8 == 0), so
-  // each chunk owns disjoint bit_flags bytes.
-  parallel_chunks(nblocks, 4096, [&](size_t b, size_t e) {
-    ops.mark(words.data() + b * kBlockWords, e - b, bit_flags.data() + b / 8);
+  // An item is one flag byte's 8 blocks, so each part owns disjoint
+  // bit_flags bytes.
+  constexpr size_t kItemBytes = 8 * kBlockWords * sizeof(u32) + 1;
+  parallel_chunks(bit_flags.size(), kItemBytes, [&](size_t fb, size_t fe) {
+    const size_t b = fb * 8;
+    ops.mark(words.data() + b * kBlockWords, std::min(nblocks, fe * 8) - b,
+             bit_flags.data() + fb);
   });
 }
 

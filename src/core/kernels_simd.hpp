@@ -121,11 +121,12 @@ struct FusedParallelPlan {
                              ///< (exact counts ride the "fused-strip" spans)
 };
 
-/// Partition `dims` into tile strips for `workers` workers (0 =
-/// max_threads()).  The strip count is clamped so the halo-recompute
-/// overhead stays a small fraction of the total work; the plan is
-/// deterministic in (dims, workers) — it never depends on thread timing.
-FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
+/// Partition `dims` into min(workers, tiles) tile strips, or with workers 0
+/// as many as parts_for (common/parallel.hpp) gives tiles of `value_bytes`
+/// values, clamped so the halo recompute stays a small fraction of the work.
+/// Deterministic in its arguments and the caller's budget, never timing.
+FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers,
+                                      size_t value_bytes = sizeof(f32));
 
 /// The fused stage kernel: quantize + Lorenzo + encode + bitshuffle + mark
 /// in one tile-parallel pass over `data`.  Outputs exactly what

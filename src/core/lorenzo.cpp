@@ -63,22 +63,10 @@ void forward_3d(std::span<const i64> p, size_t nx, size_t ny, size_t nz,
   }
 }
 
-/// Chunk grain for line-parallel scans: enough lines per chunk that a
-/// chunk covers ~16Ki elements, not one line.
-size_t line_grain(size_t line_len) {
-  return std::max<size_t>(1, (size_t{1} << 14) / std::max<size_t>(1, line_len));
-}
+/// An inverse scan reads and writes each i64 once.
+constexpr size_t kScanBytes = 2 * sizeof(i64);
 
-/// Deterministic chunk count for the boundary-propagation scans: at most
-/// one chunk per worker (0 = max_threads()), each covering at least
-/// `min_per` lines so the two extra passes stay negligible.
-size_t scan_chunk_split(size_t lines, size_t workers, size_t min_per) {
-  size_t w = workers != 0 ? workers : max_threads();
-  w = std::min(w, lines / std::max<size_t>(min_per, 1));
-  return std::max<size_t>(w, 1);
-}
-
-// The axis scans below break the prefix dependence the way rapidgzip's
+// The chunked scans below break the prefix dependence the way rapidgzip's
 // inverse pass does: (1) every chunk computes its *chunk-local* scan in
 // parallel, (2) one cheap serial pass globalizes each chunk's final
 // line by adding the previous chunk's (already global) final line, and
@@ -87,6 +75,13 @@ size_t scan_chunk_split(size_t lines, size_t workers, size_t min_per) {
 // identical to the serial scan for every chunk count — decompression stays
 // byte-exact.  Every inverse scan adds with wrapping_add: a corrupt
 // stream's anchor can carry the sums past the i64 range.
+
+/// Chunks for a chunked scan over `lines` lines of `w` elements each:
+/// `workers` of them, at most one per line (0 = as many as parts_for gives).
+size_t scan_chunks(size_t lines, size_t w, size_t workers) {
+  return workers != 0 ? std::min(workers, lines)
+                      : parts_for(lines, w * kScanBytes);
+}
 
 /// Chunked inclusive prefix sum over one 1-D array.
 void scan_x_chunked_1d(std::span<i64> a, size_t nchunks) {
@@ -113,47 +108,38 @@ void scan_x_chunked_1d(std::span<i64> a, size_t nchunks) {
   });
 }
 
-/// Chunked y-scan over a single plane (row-granular boundary offsets).
-void scan_y_chunked_plane(i64* plane, size_t nx, size_t ny, size_t nchunks) {
-  const size_t per = div_ceil(ny, nchunks);
-  nchunks = div_ceil(ny, per);
+/// Chunked inclusive prefix sum over `lines` consecutive lines of `w`
+/// elements each (line l += line l - 1): a single plane's y-scan (w = nx)
+/// and a volume's z-scan (w = nx * ny), with line-granular boundaries.
+void scan_lines_chunked(i64* a, size_t lines, size_t w, size_t nchunks) {
+  const size_t per = div_ceil(lines, nchunks);
+  nchunks = div_ceil(lines, per);
+  const auto add_line = [w](i64* dst, const i64* src) {
+    for (size_t i = 0; i < w; ++i) dst[i] = wrapping_add(dst[i], src[i]);
+  };
   parallel_tasks(nchunks, nchunks, [&](size_t c, size_t) {
-    const size_t yb = c * per;
-    const size_t ye = std::min(ny, yb + per);
-    for (size_t y = yb + 1; y < ye; ++y)
-      for (size_t x = 0; x < nx; ++x)
-        plane[x + nx * y] =
-            wrapping_add(plane[x + nx * y], plane[x + nx * (y - 1)]);
+    const size_t e = std::min(lines, c * per + per);
+    for (size_t l = c * per + 1; l < e; ++l)
+      add_line(a + l * w, a + (l - 1) * w);
   });
-  for (size_t c = 1; c < nchunks; ++c) {
-    i64* last = plane + (std::min(ny, c * per + per) - 1) * nx;
-    const i64* prev = plane + (c * per - 1) * nx;
-    for (size_t x = 0; x < nx; ++x) last[x] = wrapping_add(last[x], prev[x]);
-  }
+  for (size_t c = 1; c < nchunks; ++c)
+    add_line(a + (std::min(lines, c * per + per) - 1) * w,
+             a + (c * per - 1) * w);
   parallel_tasks(nchunks - 1, nchunks - 1, [&](size_t t, size_t) {
-    const size_t c = t + 1;
-    const size_t yb = c * per;
-    const size_t ye = std::min(ny, yb + per);
-    const i64* carry = plane + (yb - 1) * nx;
-    for (size_t y = yb; y + 1 < ye; ++y)
-      for (size_t x = 0; x < nx; ++x)
-        plane[x + nx * y] = wrapping_add(plane[x + nx * y], carry[x]);
+    const size_t b = (t + 1) * per;
+    const size_t e = std::min(lines, b + per);
+    for (size_t l = b; l + 1 < e; ++l) add_line(a + l * w, a + (b - 1) * w);
   });
 }
 
 /// Inclusive prefix sum along x for every (y, z) line.
 void scan_x(std::span<i64> a, Dims dims, size_t workers) {
   const size_t lines = dims.y * dims.z;
-  if (lines == 1) {
-    // 1-D input: the whole array is one prefix chain — the only scan where
-    // boundary propagation is needed to parallelize at all.
-    const size_t nchunks = scan_chunk_split(dims.x, workers, size_t{1} << 15);
-    if (nchunks > 1) {
-      scan_x_chunked_1d(a, nchunks);
-      return;
-    }
-  }
-  parallel_chunks(lines, line_grain(dims.x), [&](size_t b, size_t e) {
+  // 1-D input: the whole array is one prefix chain — the only scan where
+  // boundary propagation is needed to parallelize at all.
+  const size_t nchunks = lines == 1 ? scan_chunks(dims.x, 1, workers) : 1;
+  if (nchunks > 1) return scan_x_chunked_1d(a, nchunks);
+  parallel_chunks(lines, dims.x * kScanBytes, [&](size_t b, size_t e) {
     for (size_t line = b; line < e; ++line) {
       i64* row = a.data() + line * dims.x;
       for (size_t x = 1; x < dims.x; ++x)
@@ -163,16 +149,13 @@ void scan_x(std::span<i64> a, Dims dims, size_t workers) {
 }
 
 void scan_y(std::span<i64> a, Dims dims, size_t workers) {
-  if (dims.z == 1) {
-    // Single plane (2-D input): without boundary propagation the y-scan
-    // would be one serial chain of row adds.
-    const size_t nchunks = scan_chunk_split(dims.y, workers, 32);
-    if (nchunks > 1) {
-      scan_y_chunked_plane(a.data(), dims.x, dims.y, nchunks);
-      return;
-    }
-  }
-  parallel_chunks(dims.z, line_grain(dims.x * dims.y), [&](size_t zb, size_t ze) {
+  // Single plane (2-D input): without boundary propagation the y-scan
+  // would be one serial chain of row adds.
+  const size_t nchunks = dims.z == 1 ? scan_chunks(dims.y, dims.x, workers) : 1;
+  if (nchunks > 1)
+    return scan_lines_chunked(a.data(), dims.y, dims.x, nchunks);
+  const size_t plane_bytes = dims.x * dims.y * kScanBytes;
+  parallel_chunks(dims.z, plane_bytes, [&](size_t zb, size_t ze) {
     for (size_t z = zb; z < ze; ++z) {
       i64* plane = a.data() + z * dims.x * dims.y;
       for (size_t y = 1; y < dims.y; ++y)
@@ -183,51 +166,15 @@ void scan_y(std::span<i64> a, Dims dims, size_t workers) {
   });
 }
 
-/// Chunked z-scan with plane-granular boundary offsets — the 3-D analogue
-/// of scan_y_chunked_plane: chunk-local z-scans in parallel, one serial
-/// pass globalizing each chunk's final plane, then a parallel interior
-/// carry-add of that plane.
-void scan_z_chunked(std::span<i64> a, size_t nx, size_t ny, size_t nz,
-                    size_t nchunks) {
-  const size_t plane = nx * ny;
-  const size_t per = div_ceil(nz, nchunks);
-  nchunks = div_ceil(nz, per);
-  parallel_tasks(nchunks, nchunks, [&](size_t c, size_t) {
-    const size_t zb = c * per;
-    const size_t ze = std::min(nz, zb + per);
-    for (size_t z = zb + 1; z < ze; ++z)
-      for (size_t i = 0; i < plane; ++i)
-        a[i + plane * z] = wrapping_add(a[i + plane * z], a[i + plane * (z - 1)]);
-  });
-  for (size_t c = 1; c < nchunks; ++c) {
-    i64* last = a.data() + (std::min(nz, c * per + per) - 1) * plane;
-    const i64* prev = a.data() + (c * per - 1) * plane;
-    for (size_t i = 0; i < plane; ++i) last[i] = wrapping_add(last[i], prev[i]);
-  }
-  parallel_tasks(nchunks - 1, nchunks - 1, [&](size_t t, size_t) {
-    const size_t c = t + 1;
-    const size_t zb = c * per;
-    const size_t ze = std::min(nz, zb + per);
-    const i64* carry = a.data() + (zb - 1) * plane;
-    for (size_t z = zb; z + 1 < ze; ++z)
-      for (size_t i = 0; i < plane; ++i)
-        a[i + plane * z] = wrapping_add(a[i + plane * z], carry[i]);
-  });
-}
-
 void scan_z(std::span<i64> a, Dims dims, size_t workers) {
   const size_t w = workers != 0 ? workers : max_threads();
-  if (dims.y < w) {
-    // Too few y-rows to occupy the crew (flat or thin-slab volumes): chunk
-    // the z-chain itself and propagate plane-granular boundary offsets.
-    const size_t nchunks = scan_chunk_split(dims.z, workers, 4);
-    if (nchunks > 1) {
-      scan_z_chunked(a, dims.x, dims.y, dims.z, nchunks);
-      return;
-    }
-  }
   const size_t plane = dims.x * dims.y;
-  parallel_chunks(dims.y, line_grain(dims.x * dims.z), [&](size_t yb, size_t ye) {
+  // Too few y-rows to occupy the crew (flat or thin-slab volumes): chunk
+  // the z-chain itself and propagate plane-granular boundary offsets.
+  const size_t nchunks = dims.y < w ? scan_chunks(dims.z, plane, workers) : 1;
+  if (nchunks > 1) return scan_lines_chunked(a.data(), dims.z, plane, nchunks);
+  const size_t slab_bytes = dims.x * dims.z * kScanBytes;
+  parallel_chunks(dims.y, slab_bytes, [&](size_t yb, size_t ye) {
     for (size_t y = yb; y < ye; ++y)
       for (size_t z = 1; z < dims.z; ++z)
         for (size_t x = 0; x < dims.x; ++x) {

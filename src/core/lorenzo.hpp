@@ -27,8 +27,8 @@ void lorenzo_forward(std::span<const i64> p, Dims dims, std::span<i64> delta);
 /// propagate per-chunk boundary offsets — line-, row-, and plane-granular
 /// respectively — in a cheap second pass (integer adds are associative, so
 /// the result is identical to the serial scan for every chunk count).
-/// `workers` bounds the chunk parallelism (0 = one chunk per hardware
-/// thread).
+/// `workers` sets the chunk count, at most one per line (0 = as many as
+/// parts_for in common/parallel.hpp gives the chain).
 void lorenzo_inverse(std::span<const i64> delta, Dims dims, std::span<i64> p,
                      size_t workers = 0);
 

@@ -68,8 +68,9 @@ struct FzParams {
   QuantVersion quant = QuantVersion::V2Optimized;
   /// Host execution: worker count for the fused passes' strips — the
   /// tile-parallel compress pass and the decode strips of a V2 decompress
-  /// (and the chunked inverse-Lorenzo scans of a V1 decompress).  0 = the
-  /// calling thread's budget (max_threads()), which the per-element passes
+  /// (and the chunked inverse-Lorenzo scans of a V1 decompress).  0 = as
+  /// many as the work floor gives within the calling thread's budget
+  /// (parts_for in common/parallel.hpp), the rule the per-element passes
   /// around them (validation, block compaction, reconstruct) use too.
   /// Every worker count emits byte-identical streams and restores
   /// byte-identical fields — pinned by tests/test_fused_parallel.cpp and

@@ -15,10 +15,6 @@ namespace fz {
 
 namespace {
 
-// Chunk grain for the trivial per-element loops: one work item per 32Ki
-// elements, so a small field stays on the calling thread.
-constexpr size_t kQuantGrain = size_t{1} << 15;
-
 /// |p| at or past this leaves too little of the i64 range for llround.
 constexpr double kMaxPrequant = 0x1p62;
 
@@ -84,7 +80,7 @@ double resolve_abs_eb_impl(std::span<const T> data, const ErrorBound& eb,
 
   if (log_transform) {
     telemetry::Span span(sink, "log-transform");
-    parallel_chunks(data.size(), size_t{1} << 14, [&](size_t b, size_t e) {
+    parallel_chunks(data.size(), 2 * sizeof(T), [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i)
         log_values[i] =
             static_cast<T>(std::log(static_cast<double>(data[i])));
@@ -98,7 +94,8 @@ void prequantize_impl(std::span<const T> data, double eb, std::span<i64> out) {
   FZ_REQUIRE(eb > 0, "error bound must be positive");
   FZ_REQUIRE(data.size() == out.size(), "prequantize: size mismatch");
   const double inv = 1.0 / (2.0 * eb);
-  parallel_chunks(data.size(), kQuantGrain, [&](size_t b, size_t e) {
+  constexpr size_t kItemBytes = sizeof(T) + sizeof(i64);
+  parallel_chunks(data.size(), kItemBytes, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i)
       out[i] =
           static_cast<i64>(std::llround(static_cast<double>(data[i]) * inv));
@@ -115,8 +112,9 @@ void dequantize_impl(std::span<const i64> p, double eb, std::span<T> out,
   const auto dq = [scale](i64 v) {
     return static_cast<T>(static_cast<double>(v) * scale);
   };
+  constexpr size_t kItemBytes = sizeof(i64) + sizeof(T);
   if (plan.strips <= 1) {
-    parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
+    parallel_chunks(p.size(), kItemBytes, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) out[i] = dq(p[i]);
     });
     return;
@@ -125,7 +123,7 @@ void dequantize_impl(std::span<const i64> p, double eb, std::span<T> out,
                  carries.size() == plan.carry_elems(),
              "dequantize: strip plan mismatch");
   const size_t pe = plan.plane_elems;
-  parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
+  parallel_chunks(p.size(), kItemBytes, [&](size_t b, size_t e) {
     size_t s = 0;
     for (size_t i = b; i < e;) {
       while (plan.first_plane(s + 1) * pe <= i) ++s;
@@ -180,7 +178,8 @@ void dequantize(std::span<const i64> p, double eb, std::span<f64> out,
 size_t quant_encode_v2(std::span<const i64> deltas, std::span<u16> codes) {
   FZ_REQUIRE(codes.size() == deltas.size(), "quant: size mismatch");
   std::atomic<size_t> saturated{0};
-  parallel_chunks(deltas.size(), 1 << 16, [&](size_t b, size_t e) {
+  constexpr size_t kItemBytes = sizeof(i64) + sizeof(u16);
+  parallel_chunks(deltas.size(), kItemBytes, [&](size_t b, size_t e) {
     size_t local_sat = 0;
     for (size_t i = b; i < e; ++i) {
       const i64 d = deltas[i];
@@ -205,7 +204,8 @@ QuantV2Result quant_encode_v2(std::span<const i64> deltas) {
 
 void quant_decode_v2(std::span<const u16> codes, std::span<i64> deltas) {
   FZ_REQUIRE(codes.size() == deltas.size(), "quant: size mismatch");
-  parallel_chunks(codes.size(), size_t{1} << 16, [&](size_t b, size_t e) {
+  constexpr size_t kItemBytes = sizeof(u16) + sizeof(i64);
+  parallel_chunks(codes.size(), kItemBytes, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) deltas[i] = sign_magnitude_decode(codes[i]);
   });
 }
@@ -215,14 +215,13 @@ void quant_encode_v1(std::span<const i64> deltas, u32 radius,
   FZ_REQUIRE(radius >= 2 && radius <= 0x4000, "bad radius");
   FZ_REQUIRE(codes.size() == deltas.size(), "quant: size mismatch");
   outliers.clear();
-  // Outlier collection is order-dependent; run sequentially per chunk and
-  // merge (outliers are rare so the merge is cheap).
-  std::vector<std::vector<Outlier>> partial(max_threads() + 1);
-  const size_t chunk = div_ceil(deltas.size(), partial.size());
-  parallel_for(0, partial.size(), [&](size_t c) {
-    const size_t b = c * chunk;
-    const size_t e = std::min(b + chunk, deltas.size());
-    for (size_t i = b; i < e; ++i) {
+  // Outlier collection is order-dependent; run sequentially per part and
+  // merge in part order (outliers are rare so the merge is cheap).
+  const size_t n = deltas.size();
+  const size_t parts = parts_for(n, sizeof(i64) + sizeof(u16));
+  std::vector<std::vector<Outlier>> partial(parts);
+  parallel_tasks(parts, parts, [&](size_t c, size_t) {
+    for (size_t i = n * c / parts; i < n * (c + 1) / parts; ++i) {
       const i64 d = deltas[i];
       if (d > -static_cast<i64>(radius) && d < static_cast<i64>(radius)) {
         codes[i] = static_cast<u16>(d + radius);
@@ -247,7 +246,7 @@ QuantV1Result quant_encode_v1(std::span<const i64> deltas, u32 radius) {
 void quant_decode_v1(const QuantV1Result& q, std::span<i64> deltas) {
   FZ_REQUIRE(q.codes.size() == deltas.size(), "quant: size mismatch");
   const i64 radius = q.radius;
-  parallel_for(0, q.codes.size(), [&](size_t i) {
+  parallel_for(0, q.codes.size(), sizeof(u16) + sizeof(i64), [&](size_t i) {
     deltas[i] = static_cast<i64>(q.codes[i]) - radius;  // code 0 fixed up below
   });
   for (const Outlier& o : q.outliers) deltas[o.index] = o.delta;

@@ -210,7 +210,7 @@ class FusedQuantShuffleMarkStage final : public Stage {
 
     // Strips slice one pooled scratch lease; every plan emits the same bytes.
     const FusedParallelPlan plan =
-        fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
+        fused_parallel_plan(ctx.dims, ctx.params.fused_workers, ctx.dtype);
     ctx.row_scratch =
         ctx.pool->acquire(plan.scratch_elems * sizeof(i64), false);
     const FusedTileResult r =
@@ -399,7 +399,8 @@ class InverseQuantStage final : public Stage {
       quant_decode_v2(codes, pq);
     } else {
       const i64 radius = ctx.header.radius;
-      parallel_chunks(ctx.count, size_t{1} << 16, [&](size_t b, size_t e) {
+      constexpr size_t kItemBytes = sizeof(u16) + sizeof(i64);
+      parallel_chunks(ctx.count, kItemBytes, [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i)
           pq[i] = static_cast<i64>(codes[i]) - radius;  // code 0 fixed below
       });
@@ -479,7 +480,7 @@ class ReconstructStage final : public Stage {
     const std::span<const i64> pq = ctx.pq.as<i64>();
     dequantize(pq, ctx.abs_eb, out, ctx.decode_plan, ctx.carries.as<i64>());
     if (!ctx.log_transform) return;
-    parallel_chunks(out.size(), size_t{1} << 14, [&](size_t b, size_t e) {
+    parallel_chunks(out.size(), 2 * sizeof(T), [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i)
         out[i] = static_cast<T>(std::exp(static_cast<double>(out[i])));
     });

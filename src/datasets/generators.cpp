@@ -119,7 +119,7 @@ Field gen_hacc(Dims dims, u64 seed, bool velocity) {
 Field gen_cesm(Dims dims, u64 seed, bool cloud) {
   Field f = make_field(Dataset::CESM, cloud ? "CLDICE" : "RELHUM", dims);
   const f64 ny = static_cast<f64>(dims.y), nx = static_cast<f64>(dims.x);
-  parallel_for(0, dims.y, [&](size_t iy) {
+  parallel_for(0, dims.y, dims.x * sizeof(f32), [&](size_t iy) {
     const f64 lat = (static_cast<f64>(iy) / ny - 0.5) * M_PI;  // -pi/2..pi/2
     for (size_t ix = 0; ix < dims.x; ++ix) {
       const f64 lon = static_cast<f64>(ix) / nx * 2.0 * M_PI;
@@ -148,7 +148,7 @@ Field gen_hurricane(Dims dims, u64 seed, bool qrain) {
   Field f = make_field(Dataset::Hurricane, qrain ? "QRAIN" : "Uf", dims);
   const f64 cx = static_cast<f64>(dims.x) * 0.55;
   const f64 cy = static_cast<f64>(dims.y) * 0.45;
-  parallel_for(0, dims.z, [&](size_t iz) {
+  parallel_for(0, dims.z, dims.x * dims.y * sizeof(f32), [&](size_t iz) {
     const f64 zf = static_cast<f64>(iz) / static_cast<f64>(dims.z);
     for (size_t iy = 0; iy < dims.y; ++iy) {
       for (size_t ix = 0; ix < dims.x; ++ix) {
@@ -192,7 +192,7 @@ Field gen_hurricane(Dims dims, u64 seed, bool qrain) {
 // ---- Nyx: 3-D log-normal density ---------------------------------------------
 Field gen_nyx(Dims dims, u64 seed) {
   Field f = make_field(Dataset::Nyx, "baryon_density", dims);
-  parallel_for(0, dims.z, [&](size_t iz) {
+  parallel_for(0, dims.z, dims.x * dims.y * sizeof(f32), [&](size_t iz) {
     for (size_t iy = 0; iy < dims.y; ++iy) {
       for (size_t ix = 0; ix < dims.x; ++ix) {
         const f64 g =
@@ -212,7 +212,7 @@ Field gen_nyx(Dims dims, u64 seed) {
 // ---- QMCPACK: 3-D orbitals ----------------------------------------------------
 Field gen_qmcpack(Dims dims, u64 seed) {
   Field f = make_field(Dataset::QMCPACK, "einspline", dims);
-  parallel_for(0, dims.z, [&](size_t iz) {
+  parallel_for(0, dims.z, dims.x * dims.y * sizeof(f32), [&](size_t iz) {
     for (size_t iy = 0; iy < dims.y; ++iy) {
       for (size_t ix = 0; ix < dims.x; ++ix) {
         const f64 x = static_cast<f64>(ix), y = static_cast<f64>(iy),
@@ -238,7 +238,7 @@ Field gen_rtm(Dims dims, u64 seed) {
   const f64 sy = static_cast<f64>(dims.y) / 2.0;
   const f64 sz = 4.0;  // shot near the surface
   const f64 front = 0.42 * static_cast<f64>(dims.x);  // wavefront radius
-  parallel_for(0, dims.z, [&](size_t iz) {
+  parallel_for(0, dims.z, dims.x * dims.y * sizeof(f32), [&](size_t iz) {
     for (size_t iy = 0; iy < dims.y; ++iy) {
       for (size_t ix = 0; ix < dims.x; ++ix) {
         const f64 dx = static_cast<f64>(ix) - sx;

@@ -8,7 +8,7 @@
 namespace fz {
 
 void log_transform(Field& f) {
-  parallel_for(0, f.data.size(), [&](size_t i) {
+  parallel_for(0, f.data.size(), 2 * sizeof(f32), [&](size_t i) {
     FZ_REQUIRE(f.data[i] > 0.0f, "log transform requires positive data");
     f.data[i] = std::log(f.data[i]);
   });
@@ -16,7 +16,8 @@ void log_transform(Field& f) {
 }
 
 void exp_transform(std::span<f32> values) {
-  parallel_for(0, values.size(), [&](size_t i) { values[i] = std::exp(values[i]); });
+  parallel_for(0, values.size(), 2 * sizeof(f32),
+               [&](size_t i) { values[i] = std::exp(values[i]); });
 }
 
 double log_abs_bound_for_relative(double pointwise_rel) {

@@ -46,7 +46,9 @@ double ssim_2d(FloatSpan a, FloatSpan b, size_t nx, size_t ny,
   const size_t wy_count = (ny - static_cast<size_t>(w)) / stride + 1;
   std::vector<double> row_sums(wy_count, 0.0);
   std::vector<u64> row_counts(wy_count, 0);
-  parallel_for(0, wy_count, [&](size_t wy_idx) {
+  // A row of windows reads w rows of both fields.
+  const size_t row_bytes = 2 * static_cast<size_t>(w) * nx * sizeof(f32);
+  parallel_for(0, wy_count, row_bytes, [&](size_t wy_idx) {
     const size_t wy = wy_idx * stride;
     double acc = 0;
     u64 cnt = 0;

@@ -306,7 +306,8 @@ std::vector<u8> huffman_encode(std::span<const u16> symbols,
 
   std::vector<std::vector<u8>> payloads(num_chunks);
   std::vector<std::vector<u32>> gaps(num_chunks);
-  parallel_for(0, num_chunks, [&](size_t c) {
+  const size_t chunk_bytes = 2 * chunk_size * sizeof(u16);  // in, <= out
+  parallel_for(0, num_chunks, chunk_bytes, [&](size_t c) {
     BitWriterMsb bw;
     const size_t begin = c * chunk_size;
     const size_t end = std::min(begin + chunk_size, symbols.size());

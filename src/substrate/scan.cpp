@@ -18,10 +18,8 @@ void scan_exclusive_sequential(std::span<const u32> in, std::span<u32> out) {
 }
 
 size_t scan_chunk_count(size_t n) {
-  if (n == 0) return 0;
-  const size_t nthreads = max_threads();
-  const size_t chunk = std::max<size_t>(div_ceil(n, nthreads), 4096);
-  return div_ceil(n, chunk);
+  // The second pass reads an element and writes its offset.
+  return n == 0 ? 0 : parts_for(n, 2 * sizeof(u32));
 }
 
 void scan_exclusive_parallel(std::span<const u32> in, std::span<u32> out,
@@ -36,7 +34,7 @@ void scan_exclusive_parallel(std::span<const u32> in, std::span<u32> out,
   std::span<u32> offsets = scratch.subspan(nchunks, nchunks);
 
   // Pass 1: per-chunk totals.
-  parallel_for(0, nchunks, [&](size_t c) {
+  parallel_tasks(nchunks, nchunks, [&](size_t c, size_t) {
     const size_t b = c * chunk;
     const size_t e = std::min(b + chunk, n);
     u32 t = 0;
@@ -46,7 +44,7 @@ void scan_exclusive_parallel(std::span<const u32> in, std::span<u32> out,
   // Serial scan of chunk totals (tiny).
   scan_exclusive_sequential(totals, offsets);
   // Pass 2: local scans seeded by the chunk offset.
-  parallel_for(0, nchunks, [&](size_t c) {
+  parallel_tasks(nchunks, nchunks, [&](size_t c, size_t) {
     const size_t b = c * chunk;
     const size_t e = std::min(b + chunk, n);
     u32 acc = offsets[c];

@@ -21,7 +21,7 @@ void scan_exclusive_sequential(std::span<const u32> in, std::span<u32> out);
 void scan_exclusive_parallel(std::span<const u32> in, std::span<u32> out);
 
 /// Number of chunks the blocked parallel scan splits `n` elements into
-/// (bounded by the thread count).  Scratch-taking scan overloads need
+/// (parts_for in common/parallel.hpp).  Scratch-taking scan overloads need
 /// 2 * scan_chunk_count(n) u32 of scratch.
 size_t scan_chunk_count(size_t n);
 

@@ -5,8 +5,10 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -154,25 +156,29 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
+/// Item bytes at which every item may be a part of its own.
+constexpr size_t kForkBytes = kMinPartBytes;
+
 TEST(Parallel, ForCoversRangeOnce) {
   std::vector<int> hits(1000, 0);
-  parallel_for(0, hits.size(), [&](size_t i) { hits[i]++; });
+  parallel_for(0, hits.size(), kForkBytes, [&](size_t i) { hits[i]++; });
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Parallel, ExceptionsPropagateToCaller) {
   // An exception escaping a helper thread would call std::terminate
   // without the capture-and-rethrow in parallel_for; decoders depend on it.
-  EXPECT_THROW(parallel_for(0, 1000,
+  EXPECT_THROW(parallel_for(0, 1000, kForkBytes,
                             [&](size_t i) {
                               if (i == 517) throw Error("boom");
                             }),
                Error);
 }
 
-TEST(Parallel, SingleIterationRunsOnTheCaller) {
-  // One iteration (or one chunk) wakes no helper: it runs inline, with the
-  // caller's budget, and its exception reaches the caller unchanged.
+TEST(Parallel, RegionUnderTwoFloorsRunsOnTheCaller) {
+  // One item, or fewer than 2 * kMinPartBytes bytes, wakes no helper: it
+  // runs inline, with the caller's budget, and its exception reaches the
+  // caller unchanged.
   const std::thread::id caller = std::this_thread::get_id();
   const size_t budget = max_threads();
   auto expect_inline = [&] {
@@ -180,18 +186,68 @@ TEST(Parallel, SingleIterationRunsOnTheCaller) {
     EXPECT_EQ(max_threads(), budget);
   };
   std::vector<size_t> seen;
-  parallel_for(7, 8, [&](size_t i) {
+  parallel_for(7, 8, 4 * kForkBytes, [&](size_t i) {
     expect_inline();
     seen.push_back(i);
   });
-  parallel_chunks(40, 64, [&](size_t b, size_t e) {
+  EXPECT_EQ(parts_for(40, (2 * kMinPartBytes - 1) / 40), 1u);
+  parallel_chunks(40, (2 * kMinPartBytes - 1) / 40, [&](size_t b, size_t e) {
     expect_inline();
     seen.push_back(b);
     seen.push_back(e);
   });
   EXPECT_EQ(seen, (std::vector<size_t>{7, 0, 40}));
-  EXPECT_THROW(parallel_for(3, 4, [](size_t) { throw Error("boom"); }), Error);
-  parallel_for(5, 5, [](size_t) { FAIL(); });
+  EXPECT_THROW(parallel_for(3, 4, kForkBytes,
+                            [](size_t) { throw Error("boom"); }),
+               Error);
+  parallel_for(5, 5, kForkBytes, [](size_t) { FAIL(); });
+}
+
+TEST(Parallel, PartsStayUnderTheFloorAndTheBudget) {
+  const size_t budget = max_threads();
+  for (const size_t items : {size_t{1}, size_t{3}, size_t{40}, size_t{1000}}) {
+    for (const size_t item_bytes :
+         {size_t{0}, size_t{8}, kMinPartBytes / 3, kMinPartBytes,
+          8 * kMinPartBytes}) {
+      const size_t parts = parts_for(items, item_bytes);
+      const size_t by_bytes = items * item_bytes / kMinPartBytes;
+      EXPECT_GE(parts, 1u);
+      EXPECT_LE(parts, std::max<size_t>(1, by_bytes));
+      EXPECT_LE(parts, std::min(items, budget));
+      // With the crew free, a region takes exactly that many parts.
+      std::atomic<size_t> calls{0};
+      parallel_chunks(items, item_bytes, [&](size_t, size_t) { ++calls; });
+      EXPECT_EQ(calls.load(), parts) << items << " x " << item_bytes << " B";
+    }
+  }
+  EXPECT_EQ(parts_for(1000, kForkBytes), budget);
+  set_max_threads(1);
+  EXPECT_EQ(parts_for(1000, kForkBytes), 1u);
+  set_max_threads(0);
+}
+
+TEST(Parallel, ChunksSplitWholeItemsInOrder) {
+  // Each part is one contiguous run of whole items; together the parts
+  // tile [0, count) and differ in size by at most one item.
+  for (const size_t count : {size_t{1}, size_t{5}, size_t{1003}}) {
+    std::mutex mu;
+    std::vector<std::pair<size_t, size_t>> ranges;
+    parallel_chunks(count, kForkBytes, [&](size_t b, size_t e) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ranges.emplace_back(b, e);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    ASSERT_EQ(ranges.size(), parts_for(count, kForkBytes));
+    size_t next = 0;
+    for (const auto& [b, e] : ranges) {
+      EXPECT_EQ(b, next);
+      EXPECT_GE(e - b, count / ranges.size());
+      EXPECT_LE(e - b, div_ceil(count, ranges.size()));
+      next = e;
+    }
+    EXPECT_EQ(next, count);
+  }
+  parallel_chunks(0, kForkBytes, [&](size_t, size_t) { FAIL(); });
 }
 
 /// CPUs in this process's affinity mask, counted independently of the crew.
@@ -236,10 +292,10 @@ TEST(Parallel, PoolWorkerBudgetIsCpusOverWorkers) {
 TEST(Parallel, NestedRegionRunsOnItsCaller) {
   std::atomic<size_t> inner{0};
   std::atomic<size_t> off_thread{0};
-  parallel_for(0, 64, [&](size_t) {
+  parallel_for(0, 64, kForkBytes, [&](size_t) {
     EXPECT_EQ(max_threads(), 1u);  // the budget inside a region
     const std::thread::id outer = std::this_thread::get_id();
-    parallel_for(0, 100, [&](size_t) {
+    parallel_for(0, 100, kForkBytes, [&](size_t) {
       if (std::this_thread::get_id() != outer) ++off_thread;
       ++inner;
     });
@@ -254,6 +310,7 @@ TEST(Parallel, ConcurrentRegionsFinishExactOneOnItsCaller) {
   // held, must run on its own caller.  Its pool worker's budget is every
   // CPU, so it would take the crew if it were free.
   constexpr u64 kN = 20000;
+  ASSERT_EQ(parts_for(kN, kForkBytes), max_threads());
   std::atomic<bool> main_inside{false};
   std::atomic<bool> other_done{false};
   std::atomic<u64> main_sum{0};
@@ -263,13 +320,13 @@ TEST(Parallel, ConcurrentRegionsFinishExactOneOnItsCaller) {
   other.submit([&](size_t) {
     while (!main_inside) std::this_thread::yield();
     const std::thread::id caller = std::this_thread::get_id();
-    parallel_for(0, kN, [&](size_t i) {
+    parallel_for(0, kN, kForkBytes, [&](size_t i) {
       if (std::this_thread::get_id() != caller) ++other_off_caller;
       other_sum += i;
     });
     other_done = true;
   });
-  parallel_for(0, kN, [&](size_t i) {
+  parallel_for(0, kN, kForkBytes, [&](size_t i) {
     if (i == 0) {  // the first block is always the caller's
       main_inside = true;
       while (!other_done) std::this_thread::yield();
@@ -283,10 +340,12 @@ TEST(Parallel, ConcurrentRegionsFinishExactOneOnItsCaller) {
 }
 
 TEST(Parallel, HelperExceptionReachesTheCaller) {
-  // The last block belongs to a helper whenever the budget allows one.
+  // The last block belongs to a helper whenever the region has two parts.
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> thrown_by_helper{false};
-  EXPECT_THROW(parallel_for(0, 1000,
+  const size_t parts = parts_for(1000, kForkBytes);
+  EXPECT_EQ(parts, max_threads());
+  EXPECT_THROW(parallel_for(0, 1000, kForkBytes,
                             [&](size_t i) {
                               if (i != 999) return;
                               thrown_by_helper =
@@ -294,28 +353,20 @@ TEST(Parallel, HelperExceptionReachesTheCaller) {
                               throw Error("helper");
                             }),
                Error);
-  EXPECT_EQ(thrown_by_helper.load(), max_threads() > 1);
+  EXPECT_EQ(thrown_by_helper.load(), parts > 1);
   // The crew is released after a failed region.
   std::vector<int> hits(1000, 0);
-  parallel_for(0, hits.size(), [&](size_t i) { hits[i]++; });
+  parallel_for(0, hits.size(), kForkBytes, [&](size_t i) { hits[i]++; });
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Parallel, ChunksCoverRangeOnce) {
   std::vector<int> hits(1003, 0);
-  parallel_chunks(hits.size(), 64, [&](size_t b, size_t e) {
+  parallel_chunks(hits.size(), kForkBytes, [&](size_t b, size_t e) {
     ASSERT_LE(e, hits.size());
     for (size_t i = b; i < e; ++i) hits[i]++;
   });
   for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(Parallel, ChunksRejectZeroChunkSize) {
-  // Regression: chunk == 0 used to divide by zero when computing the chunk
-  // count; it must be a reported error instead.
-  EXPECT_THROW(parallel_chunks(100, 0, [&](size_t, size_t) {}), Error);
-  // count == 0 with a valid chunk stays a silent no-op.
-  parallel_chunks(0, 64, [&](size_t, size_t) { FAIL(); });
 }
 
 TEST(Parallel, TasksCoverAllTasksWithBoundedWorkers) {

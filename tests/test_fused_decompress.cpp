@@ -171,8 +171,10 @@ TEST(FusedDecompress, DecodePlanReachesTheBoundaryShapes) {
 
   // Never more strips than tiles, and deterministic in (dims, workers).
   EXPECT_EQ(fused_decode_plan(Dims{5000}, 8).strips, 3u);
-  EXPECT_EQ(fused_decode_plan(Dims{2049}, 0).strips,
-            std::min<size_t>(2, max_threads()));
+  // Workers 0: the floor splits the decode's bytes (a code read and an i64
+  // written per element): 20 KB stays whole, 40 MB takes the budget.
+  EXPECT_EQ(fused_decode_plan(Dims{2049}, 0).strips, 1u);
+  EXPECT_EQ(fused_decode_plan(Dims{size_t{1} << 22}, 0).strips, max_threads());
 }
 
 TEST(FusedDecompress, HostileFlagsAndTruncationsFailBeforeAnyStripReads) {

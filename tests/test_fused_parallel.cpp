@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/bitshuffle.hpp"
@@ -141,6 +142,11 @@ TEST(FusedParallel, PlanIsDeterministicAndClamped) {
       if (workers == 1) {
         EXPECT_EQ(a.strips, 1u);
         EXPECT_EQ(a.halo_elems, 0u);
+      }
+      if (workers == 0) {  // the floor splits the tiles' bytes
+        const size_t tiles = div_ceil(dims.count(), kCodesPerTile);
+        const size_t tile_bytes = kCodesPerTile * (sizeof(f32) + sizeof(u16));
+        EXPECT_LE(a.strips, parts_for(tiles, tile_bytes));
       }
       if (a.strips == 1) {
         EXPECT_EQ(a.halo_elems, 0u);
@@ -266,6 +272,17 @@ std::vector<u8> check_codec_streams(const std::vector<T>& data, Dims dims, doubl
   return want;
 }
 
+/// The stream's blocks, read and written once each by the tile compaction,
+/// move at least two floors, so the compaction splits, and the workers-0
+/// plan has several strips, whenever the budget allows more than one
+/// participant.
+void expect_compaction_and_strips_split(const std::vector<u8>& stream,
+                                        Dims dims, size_t value_bytes) {
+  const bool forks = max_threads() > 1;
+  EXPECT_GE(inspect(stream).block_bytes, kMinPartBytes);
+  EXPECT_EQ(fused_parallel_plan(dims, 0, value_bytes).strips > 1, forks);
+}
+
 TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
   const Dims dims{64, 256};
   const auto data = field<f32>(dims, 91);
@@ -273,7 +290,8 @@ TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
 
   // Constant: no nonzero block.  Uniform noise far above the bound: every
   // block nonzero.  Counts ending mid-tile, in 1-D and 2-D.  Enough tiles
-  // that the compaction splits across threads.
+  // and nonzero blocks that the compaction and the strips split whenever
+  // the budget allows.
   const std::vector<f32> flat(dims.count(), 7.25f);
   EXPECT_EQ(inspect(check_codec_streams(flat, dims, 1e-3)).nonzero_blocks, 0u);
   Rng rng(5);
@@ -281,8 +299,12 @@ TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
   for (f32& x : noise) x = static_cast<f32>(rng.uniform(-30, 30));
   const StreamInfo noisy = inspect(check_codec_streams(noise, dims, 1e-3));
   EXPECT_EQ(noisy.nonzero_blocks, noisy.total_blocks);
-  for (const Dims mid : {Dims{5000}, Dims{97, 33}, Dims{512, 600}})
+  for (const Dims mid : {Dims{5000}, Dims{97, 33}})
     check_codec_streams(field<f32>(mid, 17 + mid.count()), mid, 1e-3);
+  const Dims big{512, 600};  // 150 tiles
+  expect_compaction_and_strips_split(
+      check_codec_streams(field<f32>(big, 17 + big.count()), big, 1e-3), big,
+      sizeof(f32));
 
   // V1 with outliers: the outlier section follows the blocks directly.
   std::vector<f32> spiky = data;
@@ -329,8 +351,12 @@ TEST(FusedParallel, F64CodecStreamsIdenticalAcrossWorkerSettings) {
   const StreamInfo noisy =
       inspect(check_codec_streams(noise, Dims{64, 64, 4}, 1e-4));
   EXPECT_EQ(noisy.nonzero_blocks, noisy.total_blocks);
-  for (const Dims mid : {Dims{2049}, Dims{33, 17, 9}, Dims{80, 64, 60}})
+  for (const Dims mid : {Dims{2049}, Dims{33, 17, 9}})
     check_codec_streams(field<f64>(mid, 23 + mid.count()), mid, 1e-4);
+  const Dims big{80, 64, 60};  // 150 tiles
+  expect_compaction_and_strips_split(
+      check_codec_streams(field<f64>(big, 23 + big.count()), big, 1e-4), big,
+      sizeof(f64));
 
   std::vector<f64> spiky = data;
   for (size_t i = 0; i < spiky.size(); i += 53) spiky[i] -= 20.0;

@@ -1,6 +1,7 @@
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/lorenzo.hpp"
 
@@ -126,9 +127,15 @@ TEST(Lorenzo, ChunkedInverseScansAreScheduleIndependent) {
   // PR5 decompression: the inverse prefix scans run chunk-local with a
   // boundary-offset propagation pass, so the reconstruction is
   // byte-identical for every worker count.  Integer adds are associative —
-  // the chunk partition can never show in the output.  Shapes chosen so
-  // the chunked paths actually engage: a long 1-D array (>= 2^15 elements
-  // per chunk) and a single tall 2-D plane (>= 32 rows per chunk).
+  // the chunk partition can never show in the output.  An explicit worker
+  // count chunks every chain into that many chunks (at most one per line);
+  // workers 0 chunks a chain by its bytes, 16 per element (an i64 read and
+  // written): the long 1-D arrays and the tall 48-wide plane split
+  // whenever the budget allows, the 7-wide plane (34 KB) stays one chunk.
+  const bool forks = max_threads() > 1;
+  EXPECT_EQ(parts_for(size_t{1} << 18, 2 * sizeof(i64)) > 1, forks);
+  EXPECT_EQ(parts_for(512, 48 * 2 * sizeof(i64)) > 1, forks);
+  EXPECT_EQ(parts_for(300, 7 * 2 * sizeof(i64)), 1u);
   for (const Dims dims : {Dims{1 << 18}, Dims{(1 << 18) + 77}, Dims{48, 512},
                           Dims{7, 300}}) {
     const auto p = random_values(dims.count(), 99 + dims.count());
